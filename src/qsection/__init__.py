@@ -56,6 +56,7 @@ from .errors import (
     QSectionError,
     ReducibleModulusError,
     SchemaError,
+    ZeroCandidateError,
 )
 from .exact_arith import (
     NumberField,

@@ -90,6 +90,8 @@ def _load_job(path: str):
 def _resolve_bound(flag_value, job, key: str = "bound"):
     """Flag beats the job file, which beats the environment default."""
     if flag_value is not None:
+        if flag_value < 1:
+            raise SchemaError(f"--{key.replace('_', '-')} must be a positive integer")
         return flag_value
     if key in job:
         val = job[key]
@@ -366,6 +368,11 @@ def cmd_semigroup(args) -> dict:
             s=_job_int(raw, "s"),
             bound=_job_int(raw, "bound"),
         )
+        if len(dims) < prof.bound + 1:
+            raise SchemaError(
+                f"profile dims must list degrees 0..bound ({prof.bound + 1} values), "
+                f"got {len(dims)}"
+            )
         H = semigroup_from_profile(prof)
         x0 = job.get("x0_degree", prof.degree)
         scale = prof.s

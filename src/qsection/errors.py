@@ -33,6 +33,10 @@ class NotIrredundantError(QSectionError):
     """The grading is supported on a proper subgroup of the integers."""
 
 
+class ZeroCandidateError(QSectionError):
+    """A prime candidate is the zero function."""
+
+
 class BoundTooSmallError(QSectionError):
     """The truncation bound is too small for the requested computation."""
 

@@ -210,10 +210,6 @@ class Poly:
         return tuple(out)
 
 
-POLY_ZERO = Poly.zero()
-POLY_ONE = Poly.one()
-
-
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Long division: returns (q, r) with a = q*b + r and deg r < deg b."""
     if b.is_zero:

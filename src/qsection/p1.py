@@ -100,9 +100,6 @@ class RationalFunctionP1:
         return RationalFunctionP1(self.numer.scale(c), self.denom)
 
 
-RF_ONE = RationalFunctionP1.one()
-
-
 def _divisors_of_int(n: int) -> list[int]:
     n = abs(n)
     out = []

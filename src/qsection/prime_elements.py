@@ -19,7 +19,9 @@ Three routes are kept deliberately separate and cross-checked:
 * `primality_oracle` is the independent brute-force check: in a graded
   domain the quotient by a prime has all piece dimensions <= 1, and then
   primality up to the bound is equivalent to all pairwise products of the
-  nonzero quotient representatives staying nonzero modulo the ideal.
+  nonzero quotient representatives staying nonzero modulo the ideal.  It
+  reads the candidate into coordinates once and then works with coordinate
+  polynomials and the model's carry polynomials (see `section_ring`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from .errors import (
     NotIrredundantError,
     NotLinearlyEquivalentError,
     QSectionError,
+    ZeroCandidateError,
 )
+from .exact_arith import Poly
 from .linalg import SpanBuilder
 from .p1 import RationalFunctionP1, divisor_of, principal_function
 from .section_ring import SectionRing, build_section_ring, default_bound
@@ -123,6 +127,13 @@ def veronese_transform(D: QDivisor, s: int) -> QDivisor:
     return D.scale(s)
 
 
+def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> Poly:
+    """Coordinate polynomial of the candidate in the piece of its degree."""
+    if cand.g.is_zero:
+        raise ZeroCandidateError("the candidate is the zero function, which is never prime")
+    return Poly(model.piece(cand.degree).member(cand.g))
+
+
 def quotient_profile(model: SectionRing, cand: PrimeCandidate) -> QuotientProfile:
     """Dimensions of (R/xR)_n for n up to the bound, and their degree gcd s.
 
@@ -132,7 +143,7 @@ def quotient_profile(model: SectionRing, cand: PrimeCandidate) -> QuotientProfil
     d = cand.degree
     if d < 1 or d > model.bound:
         raise ValueError("candidate degree is outside the model bound")
-    model.piece(d).member(cand.g)
+    _candidate_coords(model, cand)
     dims = model.dims
     qdims = []
     for n in range(model.bound + 1):
@@ -182,6 +193,10 @@ def primality_oracle(
     degree has a single representative, and x is prime up to the bound if
     and only if every pairwise product of representatives stays outside
     x*R.  The first vanishing product is returned as the witness pair.
+
+    With q_g the coordinate polynomial of g, x*R_{m-d} is spanned by the
+    shifts w^j * q_g * carry(d, m-d); the representative in degree a is a
+    basis element w^j_a, so a product of two is w^(j_a+j_b) * carry(a, b).
     """
     d = cand.degree
     if not model.generators:
@@ -196,7 +211,7 @@ def primality_oracle(
         raise BoundTooSmallError(
             f"oracle bound {eff} exceeds the model bound {model.bound}; rebuild larger"
         )
-    model.piece(d).member(cand.g)
+    q_g = _candidate_coords(model, cand)
     dims = model.dims
     qdims = []
     for n in range(eff + 1):
@@ -212,24 +227,26 @@ def primality_oracle(
 
     def image(m: int) -> SpanBuilder:
         if m not in image_cache:
-            span = SpanBuilder(model.piece(m).dim)
+            piece = model.piece(m)
+            span = SpanBuilder(piece.dim)
             if m >= d:
-                for h in model.piece(m - d).basis:
-                    span.add(model.piece(m).member(cand.g * h))
-            if model.piece(m).dim - span.rank != qdims[m]:
+                base = q_g * model.carry(d, m - d)
+                for j in range(model.piece(m - d).dim):
+                    span.add(piece.vector(base.shifted(j)))
+            if piece.dim - span.rank != qdims[m]:
                 raise NegativeDimError(
                     f"inconsistent quotient dimension in degree {m}"
                 )
             image_cache[m] = span
         return image_cache[m]
 
-    rep_cache: dict[int, RationalFunctionP1] = {}
+    rep_cache: dict[int, int] = {}
 
-    def representative(m: int) -> RationalFunctionP1:
+    def representative(m: int) -> int:
+        """The basis column of the quotient representative in degree m."""
         if m not in rep_cache:
             pivots = set(image(m).pivots)
-            j = next(j for j in range(model.piece(m).dim) if j not in pivots)
-            rep_cache[m] = model.piece(m).basis[j]
+            rep_cache[m] = next(j for j in range(model.piece(m).dim) if j not in pivots)
         return rep_cache[m]
 
     support = [n for n in range(1, eff + 1) if qdims[n] == 1]
@@ -237,22 +254,26 @@ def primality_oracle(
         for b in support:
             if b < a or a + b > eff:
                 continue
-            prod = representative(a) * representative(b)
-            vec = model.piece(a + b).member(prod)
+            prod = model.carry(a, b).shifted(representative(a) + representative(b))
+            vec = model.piece(a + b).vector(prod)
             if image(a + b).contains(vec):
                 return OracleResult(False, "product", (a, b), eff)
     return OracleResult(True, "ok", None, eff)
 
 
 def _model_for_oracle(D: QDivisor, degree: int, bound: int | None, oracle_bound: int | None):
-    """Build a model whose bound accommodates the oracle window for `degree`."""
+    """Build a model whose bound accommodates the oracle window for `degree`.
+
+    When the window exceeds the first bound the model is extended in place,
+    which gives the same model as building at the window from scratch.
+    """
     model = build_section_ring(D, bound)
     if not model.generators:
         raise NotAmpleError("no generators found; the divisor supports no sections")
     needed = 2 * max(model.generator_degrees) + degree
     target = max(needed, oracle_bound or 0)
     if model.bound < target:
-        model = build_section_ring(D, target)
+        model.extend(target)
     return model
 
 

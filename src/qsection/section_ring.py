@@ -1,12 +1,35 @@
 """Graded models of section rings of ample Q-divisors on the projective line.
 
-The degree-n piece of the ring attached to a divisor D is H0(O(floor(n*D))),
-realized concretely through `rr_basis`.  The model truncates at a degree
-bound: generators are discovered degree by degree as the echelon complement
-of products of earlier generators, and minimal relations are read off the
-kernels of the evaluation maps, quotienting out consequences of relations
-found in lower degrees.  No Groebner machinery is involved; everything is
-exact linear algebra over the scalar field.
+The degree-n piece of the ring attached to a divisor D = sum_x c_x [x] is
+H0(O(floor(n*D))).  A section f of degree n is stored as its coordinate
+polynomial q, with
+
+    f = q * prod_x (w - x)^(-floor(n*c_x))        (x over the finite points),
+
+and f is a section exactly when deg q <= deg floor(n*D): the product fixes
+the finite orders, and the degree bound is the order at infinity.  The
+coefficients of q are the coordinates of f in the echelon basis
+mand * w^j / den of `rr_basis`, so q *is* the coordinate vector.
+
+Products need no gcd.  If f_a and f_b have coordinate polynomials q_a and
+q_b, then f_a * f_b has coordinate polynomial q_a * q_b * carry(a, b), where
+
+    carry(a, b) = prod_x (w - x)^(floor((a+b)*c_x) - floor(a*c_x) - floor(b*c_x))
+
+and every exponent is 0 or 1: writing {t} = t - floor(t), the exponent is
+floor({a*c_x} + {b*c_x}), and 0 <= {a*c_x} + {b*c_x} < 2.  The model
+memoizes carry polynomials and monomial coordinate polynomials; it converts
+to `RationalFunctionP1` only at its edges (generator functions,
+`SectionRing.monomial`, `Piece.basis`) and reads user functions in through
+`Piece.coords`.
+
+The model truncates at a degree bound: generators are discovered degree by
+degree as the echelon complement of products of earlier generators, and
+minimal relations are read off the kernels of the evaluation maps,
+quotienting out consequences of relations found in lower degrees.  No
+Groebner machinery is involved; everything is exact linear algebra over the
+scalar field.  A model can be extended to a higher bound in place; it then
+equals a model built at that bound from scratch.
 
 The Hilbert series is fitted numerically: with denominator exponents equal
 to the generator degrees, the numerator is the (finite) product of the
@@ -22,7 +45,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import QDivisor
+from .divisors import InfinityP1, QDivisor
 from .errors import (
     BoundTooSmallWarning,
     FitFailedError,
@@ -30,9 +53,9 @@ from .errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from .exact_arith import poly_divrem, scalar_inverse, scalar_is_zero
+from .exact_arith import Poly, poly_divrem, scalar_inverse, scalar_is_zero
 from .linalg import SpanBuilder, kernel_basis
-from .p1 import RF_ONE, RationalFunctionP1, _rr_data, rr_basis
+from .p1 import RationalFunctionP1, _rr_data, rr_basis
 
 
 def graded_dimension(D: QDivisor, n: int) -> int:
@@ -48,23 +71,68 @@ def default_bound(D: QDivisor) -> int:
     return 3 * D.common_denominator()
 
 
-class Piece:
-    """One graded piece with its echelon basis and coordinate map."""
+def carry_poly(D: QDivisor, a: int, b: int) -> Poly:
+    """The polynomial taking q_a * q_b to the coordinates of f_a * f_b.
 
-    __slots__ = ("degree_t", "floor_divisor", "dim", "basis", "_den", "_mand", "_cap")
+    prod (w - x) over the finite points x of D with
+    floor((a+b)*c_x) - floor(a*c_x) - floor(b*c_x) = 1 (see the module
+    docstring for why no other exponent occurs).
+    """
+    out = Poly.one()
+    for pt, c in D.entries:
+        if isinstance(pt, InfinityP1):
+            continue
+        if math.floor((a + b) * c) - math.floor(a * c) - math.floor(b * c):
+            out = out * Poly([-pt.coord, Fraction(1)])
+    return out
+
+
+class Piece:
+    """One graded piece with its echelon basis and coordinate map.
+
+    Sections of the piece are handled as coordinate polynomials (see the
+    module docstring); `basis` and `function` turn them into rational
+    functions, `coords` and `member` turn rational functions into them.
+    """
+
+    __slots__ = ("degree_t", "floor_divisor", "dim", "_cap", "_den_mand", "_basis")
 
     def __init__(self, D: QDivisor, n: int):
         E = D.scale(n).floor()
-        den, mand, cap = _rr_data(E)
         self.degree_t = n
         self.floor_divisor = E
-        self._den = den
-        self._mand = mand
-        self._cap = cap
-        self.dim = max(cap + 1, 0)
-        self.basis = tuple(
-            RationalFunctionP1(mand.shifted(j), den) for j in range(cap + 1)
-        )
+        self._cap = int(E.degree())
+        self.dim = max(self._cap + 1, 0)
+        self._den_mand = None
+        self._basis = None
+
+    def _rr(self) -> tuple[Poly, Poly]:
+        """Common denominator and mandatory numerator factor of the basis."""
+        if self._den_mand is None:
+            self._den_mand = _rr_data(self.floor_divisor)[:2]
+        return self._den_mand
+
+    @property
+    def basis(self) -> tuple:
+        """The echelon basis of `rr_basis`, built on first use."""
+        if self._basis is None:
+            self._basis = tuple(rr_basis(self.floor_divisor))
+        return self._basis
+
+    def function(self, q: Poly) -> RationalFunctionP1:
+        """The section whose coordinate polynomial is q."""
+        den, mand = self._rr()
+        return RationalFunctionP1(q * mand, den)
+
+    def vector(self, q: Poly) -> list:
+        """Coordinate vector of the section with coordinate polynomial q."""
+        if q.degree > self._cap:
+            raise MembershipError(
+                f"product of sections left the ring in degree {self.degree_t}"
+            )
+        out = list(q.coeffs)
+        out += [Fraction(0)] * (self.dim - len(out))
+        return out
 
     def coords(self, f: RationalFunctionP1):
         """Coordinates of f in this piece's basis, or None if f is no member."""
@@ -72,18 +140,17 @@ class Piece:
             return [Fraction(0)] * self.dim
         if self.dim == 0:
             return None
-        cofactor, rem = poly_divrem(self._den, f.denom)
+        den, mand = self._rr()
+        cofactor, rem = poly_divrem(den, f.denom)
         if not rem.is_zero:
             return None
         h = f.numer * cofactor
-        p, rem = poly_divrem(h, self._mand)
+        p, rem = poly_divrem(h, mand)
         if not rem.is_zero:
             return None
         if p.degree > self._cap:
             return None
-        out = list(p.coeffs)
-        out += [Fraction(0)] * (self.dim - len(out))
-        return out
+        return self.vector(p)
 
     def member(self, f: RationalFunctionP1) -> list:
         vec = self.coords(f)
@@ -96,9 +163,16 @@ class Piece:
 
 @dataclass(frozen=True)
 class Generator:
+    """A generator: basis element `column` of the piece of its degree.
+
+    Its coordinate polynomial is w^column; `func` is the same section as a
+    rational function.
+    """
+
     degree: int
     index: int
     func: RationalFunctionP1
+    column: int
 
 
 @dataclass(frozen=True)
@@ -135,16 +209,23 @@ def exponent_vectors(degrees: list[int], total: int):
 
 
 class SectionRing:
-    """Truncated model of the section ring of an ample divisor."""
+    """Truncated model of the section ring of an ample divisor.
 
-    def __init__(self, divisor, bound, pieces, generators, irredundant, generators_at_bound):
+    Starts at bound 0 with no generators; `extend` discovers generators up
+    to a bound.  `build_section_ring` is the usual way to make one.
+    """
+
+    def __init__(self, divisor: QDivisor):
         self.divisor = divisor
-        self.bound = bound
-        self.pieces = pieces
-        self.generators = generators
-        self.irredundant = irredundant
-        self.generators_at_bound = generators_at_bound
-        self._mono_memo: dict[tuple[int, ...], RationalFunctionP1] = {(): RF_ONE}
+        self.bound = 0
+        self.pieces = [Piece(divisor, 0)]
+        self.generators: list[Generator] = []
+        self.irredundant = False
+        self.generators_at_bound = False
+        # coordinate polynomials of generator monomials, keyed by exponent
+        # vectors without trailing zeros
+        self._mono_memo: dict[tuple[int, ...], Poly] = {(): Poly.one()}
+        self._carry_memo: dict[tuple[int, int], Poly] = {}
         self._relations: list[Relation] | None = None
         self._hilbert: HilbertSeries | None = None
 
@@ -161,29 +242,81 @@ class SectionRing:
     def generator_degrees(self) -> list[int]:
         return [g.degree for g in self.generators]
 
-    def monomial(self, expo: tuple[int, ...]) -> RationalFunctionP1:
-        """Product of generator powers, memoized across all callers."""
+    def carry(self, a: int, b: int) -> Poly:
+        """`carry_poly` of the divisor, memoized per model."""
+        key = (a, b) if a <= b else (b, a)
+        q = self._carry_memo.get(key)
+        if q is None:
+            q = self._carry_memo[key] = carry_poly(self.divisor, a, b)
+        return q
+
+    def monomial_coords(self, expo: tuple[int, ...]) -> Poly:
+        """Coordinate polynomial of a product of generator powers, memoized."""
         key = tuple(expo)
         while key and key[-1] == 0:
             key = key[:-1]
         memo = self._mono_memo
-        if key in memo:
-            return memo[key]
-        i = len(key) - 1
-        smaller = key[:i] + (key[i] - 1,)
-        f = self.monomial(smaller) * self.generators[i].func
-        memo[key] = f
-        return memo[key]
+        q = memo.get(key)
+        if q is None:
+            i = len(key) - 1
+            smaller = key[:i] + (key[i] - 1,)
+            gen = self.generators[i]
+            rest = sum(e * g.degree for e, g in zip(smaller, self.generators))
+            q = self.monomial_coords(smaller)
+            carry = self.carry(gen.degree, rest)
+            if carry.degree > 0:  # skip the common case of a carry of 1
+                q = q * carry
+            q = memo[key] = q.shifted(gen.column)
+        return q
+
+    def monomial(self, expo: tuple[int, ...]) -> RationalFunctionP1:
+        """Product of generator powers as a rational function."""
+        degree = sum(e * g.degree for e, g in zip(expo, self.generators))
+        return self.piece(degree).function(self.monomial_coords(expo))
+
+    def extend(self, bound: int) -> "SectionRing":
+        """Discover generators up to a higher bound, keeping all earlier work.
+
+        In each degree the span of products of already-known generators is
+        echelonized inside the piece; basis elements at the non-pivot
+        columns (left to right) become new generators.  A warning is issued
+        when a generator shows up exactly at the bound, since then nothing
+        certifies that higher degrees hold no further generators.
+        """
+        if bound < self.bound:
+            raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
+        for n in range(self.bound + 1, bound + 1):
+            piece = Piece(self.divisor, n)
+            self.pieces.append(piece)
+            if piece.dim == 0:
+                continue
+            span = SpanBuilder(piece.dim)
+            for expo in exponent_vectors(self.generator_degrees, n):
+                span.add(piece.vector(self.monomial_coords(expo)))
+            pivots = set(span.pivots)
+            for j in range(piece.dim):
+                if j not in pivots:
+                    func = piece.function(Poly.one().shifted(j))
+                    self.generators.append(Generator(n, len(self.generators), func, j))
+        self.bound = bound
+        self._relations = None
+        self._hilbert = None
+        support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
+        self.irredundant = math.gcd(*support) == 1 if support else False
+        self.generators_at_bound = any(g.degree == bound for g in self.generators)
+        if self.generators_at_bound:
+            warnings.warn(
+                f"generators found at the bound {bound}; raise the bound to certify completeness",
+                BoundTooSmallWarning,
+                stacklevel=3,
+            )
+        return self
 
 
 def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
     """Discover generators of the section ring of D up to a degree bound.
 
-    In each degree the span of products of already-known generators is
-    echelonized inside the piece; basis elements at the non-pivot columns
-    (left to right) become new generators.  A warning is issued when a
-    generator shows up exactly at the bound, since then nothing certifies
-    that higher degrees hold no further generators.
+    See `SectionRing.extend` for the discovery and the bound warning.
     """
     if D.degree() <= 0:
         raise NotAmpleError(f"divisor degree {D.degree()} is not positive")
@@ -191,36 +324,7 @@ def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
         bound = default_bound(D)
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    pieces = [Piece(D, n) for n in range(bound + 1)]
-    generators: list[Generator] = []
-    model = SectionRing(D, bound, pieces, generators, False, False)
-    for n in range(1, bound + 1):
-        piece = pieces[n]
-        if piece.dim == 0:
-            continue
-        degrees = [g.degree for g in generators]
-        span = SpanBuilder(piece.dim)
-        for expo in exponent_vectors(degrees, n):
-            vec = piece.coords(model.monomial(expo))
-            if vec is None:
-                raise MembershipError(
-                    f"product of sections left the ring in degree {n}"
-                )
-            span.add(vec)
-        pivots = set(span.pivots)
-        for j in range(piece.dim):
-            if j not in pivots:
-                generators.append(Generator(n, len(generators), piece.basis[j]))
-    support = [n for n in range(1, bound + 1) if pieces[n].dim > 0]
-    model.irredundant = math.gcd(*support) == 1 if support else False
-    model.generators_at_bound = any(g.degree == bound for g in generators)
-    if model.generators_at_bound:
-        warnings.warn(
-            f"generators found at the bound {bound}; raise the bound to certify completeness",
-            BoundTooSmallWarning,
-            stacklevel=2,
-        )
-    return model
+    return SectionRing(D).extend(bound)
 
 
 def find_relations(model: SectionRing) -> list[Relation]:
@@ -241,7 +345,7 @@ def find_relations(model: SectionRing) -> list[Relation]:
             continue
         piece = model.piece(n)
         index = {e: i for i, e in enumerate(monos)}
-        columns = [piece.member(model.monomial(e)) for e in monos]
+        columns = [piece.vector(model.monomial_coords(e)) for e in monos]
         kern = kernel_basis(columns, piece.dim)
         if not kern:
             continue

@@ -125,6 +125,14 @@ class TestRingDivisorMode:
         code, _, err = run_cli(["ring", "--input", path], capsys)
         assert code == 3 and err["error"]["kind"] == "schema"
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_bound_flag_is_schema_error(self, tmp_path, capsys, value):
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        code, out, err = run_cli(["ring", "--input", path, "--bound", value], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert "--bound" in err["error"]["message"]
+
     def test_empty_divisor_is_domain_error(self, tmp_path, capsys):
         path = write_job(tmp_path, {"curve": {"type": "p1"}, "divisor": []})
         code, _, err = run_cli(["ring", "--input", path], capsys)
@@ -248,6 +256,29 @@ class TestPrimes:
         assert out["necessary"]["point"] == "0"
         assert out["necessary"]["point_in_fractional_support"] is True
 
+    def test_check_zero_candidate_is_rejected(self, tmp_path, capsys):
+        job = dict(
+            HALF_INTEGER_JOB,
+            candidate={"degree": 2, "function": {"numer": [], "denom": ["1"]}},
+        )
+        path = write_job(tmp_path, job)
+        code, out, err = run_cli(["primes", "check", "--input", path], capsys)
+        assert code == 1 and out is None
+        assert err["error"]["kind"] == "domain"
+        assert err["error"]["type"] == "ZeroCandidateError"
+        assert "zero function" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--bound", "0"), ("--bound", "-3"), ("--oracle-bound", "0"), ("--oracle-bound", "-2")],
+    )
+    def test_nonpositive_bound_flags_are_schema_errors(self, tmp_path, capsys, flag, value):
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        code, out, err = run_cli(["primes", "enumerate", "--input", path, flag, value], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert flag in err["error"]["message"]
+
     def test_check_missing_candidate(self, tmp_path, capsys):
         path = write_job(tmp_path, HALF_INTEGER_JOB)
         code, _, err = run_cli(["primes", "check", "--input", path], capsys)
@@ -329,6 +360,14 @@ class TestSemigroup:
         assert out["a_invariant"] == 7 * 1 - 6
         assert out["criterion"] is None
         assert "rescale" in out["criterion_note"]
+
+    def test_profile_dims_shorter_than_bound(self, tmp_path, capsys):
+        job = {"profile": {"degree": 1, "s": 1, "bound": 10, "dims": [1, 0, 1]}}
+        path = write_job(tmp_path, job)
+        code, out, err = run_cli(["semigroup", "--input", path], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert "dims" in err["error"]["message"]
 
     def test_gcd_failure_is_domain_error(self, tmp_path, capsys):
         path = write_job(tmp_path, {"generators": [4, 6]})

@@ -1,12 +1,15 @@
 """Prime-element machinery: profiles, necessary conditions, oracle, search."""
 
+import warnings
 from fractions import Fraction as F
 
 import pytest
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
+from qsection import prime_elements
 from qsection.errors import (
     BoundTooSmallError,
+    BoundTooSmallWarning,
     HypothesisViolatedError,
     NotAmpleError,
     NotLinearlyEquivalentError,
@@ -148,6 +151,29 @@ class TestPrimalityOracle:
         # (w-1)^2/w squared is the canonical nonzero class in degrees 3+3
         vec = prod_piece.coords(prod)
         assert vec is not None
+
+
+class TestModelForOracle:
+    def test_builds_once_and_extends_to_the_window(self, monkeypatch):
+        builds = []
+
+        def counting_build(D, bound=None):
+            builds.append(bound)
+            return build_ring(D, bound)
+
+        monkeypatch.setattr(prime_elements, "build_section_ring", counting_build)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BoundTooSmallWarning)
+            model = _model_for_oracle(D_HALF, 2, 3, None)
+        assert builds == [3]
+        # window 2 * 3 + 2: generators of degree 3 sit at the first bound
+        assert model.bound == 8
+        assert {str(w.message) for w in caught} == {
+            "generators found at the bound 3; raise the bound to certify completeness"
+        }
+        fresh = build_ring(D_HALF, 8)
+        assert model.dims == fresh.dims
+        assert model.generators == fresh.generators
 
 
 class TestConstructPrime:

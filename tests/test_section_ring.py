@@ -8,6 +8,8 @@ relations; the model code must reproduce them exactly.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import (
@@ -17,7 +19,7 @@ from qsection.errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from qsection.exact_arith import Poly
+from qsection.exact_arith import NumberField, Poly
 from qsection.p1 import RationalFunctionP1
 from qsection.section_ring import (
     HilbertSeries,
@@ -25,6 +27,7 @@ from qsection.section_ring import (
     a_invariant,
     build_ring,
     build_section_ring,
+    carry_poly,
     default_bound,
     exponent_vectors,
     find_relations,
@@ -48,6 +51,7 @@ def rf(numer, denom=(1,)):
 D_HALF = d({FiniteP1(0): F(1, 2), P1_INFINITY: F(1, 2), FiniteP1(1): F(-1, 2)})
 D_SCROLL = d({FiniteP1(0): F(5, 7), P1_INFINITY: F(-4, 7)})
 D_POLY = d({FiniteP1(0): 1})
+D_42 = d({P1_INFINITY: F(1, 2), FiniteP1(0): F(-1, 3), FiniteP1(1): F(-1, 7)})
 
 
 class TestGradedDimension:
@@ -199,6 +203,74 @@ class TestModelGuards:
         m1 = model.monomial((1, 1, 0))
         m2 = model.monomial((1, 1, 0))
         assert m1 == m2 == model.generators[0].func * model.generators[1].func
+
+
+class TestModelExtension:
+    @pytest.mark.parametrize("D, start, target", [(D_HALF, 6, 8), (D_42, 42, 84)])
+    def test_extended_model_equals_fresh_build(self, D, start, target):
+        extended = build_section_ring(D, start)
+        # cached relations and series of the smaller model must not survive
+        find_relations(extended)
+        hilbert_series(extended)
+        extended.extend(target)
+        fresh = build_section_ring(D, target)
+        assert extended.bound == fresh.bound == target
+        assert extended.dims == fresh.dims
+        assert extended.generators == fresh.generators
+        assert find_relations(extended) == find_relations(fresh)
+        assert hilbert_series(extended) == hilbert_series(fresh)
+        assert extended.irredundant == fresh.irredundant
+        assert extended.generators_at_bound == fresh.generators_at_bound
+
+
+Q_SQRT2 = NumberField((-2, 0, 1))
+SQRT2 = Q_SQRT2.gen()
+
+
+@st.composite
+def carry_cases(draw):
+    """A 2-4 point divisor, degrees a and b, and a section of each degree.
+
+    One draw in four puts the divisor on the line over Q(sqrt 2) with a
+    point at sqrt(2) + k and number-field coordinates in the sections.
+    """
+    over_nf = draw(st.integers(0, 3)) == 0
+    npts = draw(st.integers(2, 4))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=npts, max_size=npts, unique=True))
+    points = [FiniteP1(F(c)) for c in coords]
+    if draw(st.booleans()):
+        points[-1] = P1_INFINITY
+    if over_nf:
+        points[0] = FiniteP1(SQRT2 + coords[0])
+    q = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7]))
+    entries = [(pt, F(draw(st.integers(-q, q)), q)) for pt in points]
+    D = QDivisor(ProjectiveLine(Q_SQRT2) if over_nf else P1, entries)
+    top = 4 if over_nf else 7
+    a = draw(st.integers(0, top))
+    b = draw(st.integers(0, top))
+    assume(Piece(D, a).dim and Piece(D, b).dim)
+
+    def section(n):
+        out = [draw(st.integers(-3, 3)) for _ in range(Piece(D, n).dim)]
+        if over_nf:
+            out = [c + draw(st.integers(-2, 2)) * SQRT2 for c in out]
+        return Poly(out)
+
+    return D, a, b, section(a), section(b)
+
+
+class TestCarryProduct:
+    """The carry product against the gcd-normalizing function product."""
+
+    @given(carry_cases())
+    @settings(max_examples=200)
+    def test_carry_product_matches_function_product(self, case):
+        D, a, b, qa, qb = case
+        pa, pb, pab = Piece(D, a), Piece(D, b), Piece(D, a + b)
+        fa, fb = pa.function(qa), pb.function(qb)
+        assert pa.coords(fa) == pa.vector(qa)
+        assert pb.coords(fb) == pb.vector(qb)
+        assert pab.vector(qa * qb * carry_poly(D, a, b)) == pab.coords(fa * fb)
 
 
 class TestHilbertSeries:
