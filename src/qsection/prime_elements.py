@@ -134,6 +134,18 @@ def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> Poly:
     return Poly(model.piece(cand.degree).member(cand.g))
 
 
+def _quotient_dims(dims: list[int], d: int, upto: int) -> list[int]:
+    """dim R_n - dim R_{n-d} for n = 0..upto, the quotient dimensions of a
+    nonzerodivisor of degree d; a negative one raises NegativeDimError."""
+    qdims = []
+    for n in range(upto + 1):
+        val = dims[n] - (dims[n - d] if n >= d else 0)
+        if val < 0:
+            raise NegativeDimError(f"quotient dimension {val} in degree {n}")
+        qdims.append(val)
+    return qdims
+
+
 def quotient_profile(model: SectionRing, cand: PrimeCandidate) -> QuotientProfile:
     """Dimensions of (R/xR)_n for n up to the bound, and their degree gcd s.
 
@@ -144,13 +156,7 @@ def quotient_profile(model: SectionRing, cand: PrimeCandidate) -> QuotientProfil
     if d < 1 or d > model.bound:
         raise ValueError("candidate degree is outside the model bound")
     _candidate_coords(model, cand)
-    dims = model.dims
-    qdims = []
-    for n in range(model.bound + 1):
-        val = dims[n] - (dims[n - d] if n >= d else 0)
-        if val < 0:
-            raise NegativeDimError(f"quotient dimension {val} in degree {n}")
-        qdims.append(val)
+    qdims = _quotient_dims(model.dims, d, model.bound)
     support = [n for n in range(1, model.bound + 1) if qdims[n]]
     if not support:
         raise BoundTooSmallError(
@@ -212,13 +218,7 @@ def primality_oracle(
             f"oracle bound {eff} exceeds the model bound {model.bound}; rebuild larger"
         )
     q_g = _candidate_coords(model, cand)
-    dims = model.dims
-    qdims = []
-    for n in range(eff + 1):
-        val = dims[n] - (dims[n - d] if n >= d else 0)
-        if val < 0:
-            raise NegativeDimError(f"quotient dimension {val} in degree {n}")
-        qdims.append(val)
+    qdims = _quotient_dims(model.dims, d, eff)
     for n in range(1, eff + 1):
         if qdims[n] > 1:
             return OracleResult(False, "dimension", (n,), eff)

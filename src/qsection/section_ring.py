@@ -58,12 +58,16 @@ from .linalg import SpanBuilder, kernel_basis
 from .p1 import RationalFunctionP1, _rr_data, rr_basis
 
 
+def _floor_degree(D: QDivisor, n: int) -> int:
+    """deg floor(n*D) = sum_x floor(n*c_x), without building a divisor."""
+    return sum(n * c.numerator // c.denominator for _, c in D.entries)
+
+
 def graded_dimension(D: QDivisor, n: int) -> int:
     """dim H0(O(floor(n*D))) on the line: max(deg floor(n*D) + 1, 0)."""
     if n < 0:
         raise ValueError("graded pieces are indexed by nonnegative degrees")
-    E = D.scale(n).floor()
-    return max(int(E.degree()) + 1, 0)
+    return max(_floor_degree(D, n) + 1, 0)
 
 
 def default_bound(D: QDivisor) -> int:
@@ -95,16 +99,23 @@ class Piece:
     functions, `coords` and `member` turn rational functions into them.
     """
 
-    __slots__ = ("degree_t", "floor_divisor", "dim", "_cap", "_den_mand", "_basis")
+    __slots__ = ("divisor", "degree_t", "dim", "_cap", "_floor", "_den_mand", "_basis")
 
     def __init__(self, D: QDivisor, n: int):
-        E = D.scale(n).floor()
+        self.divisor = D
         self.degree_t = n
-        self.floor_divisor = E
-        self._cap = int(E.degree())
+        self._cap = _floor_degree(D, n)
         self.dim = max(self._cap + 1, 0)
+        self._floor = None
         self._den_mand = None
         self._basis = None
+
+    @property
+    def floor_divisor(self) -> QDivisor:
+        """floor(n*D), built on first use (only the basis needs it)."""
+        if self._floor is None:
+            self._floor = self.divisor.scale(self.degree_t).floor()
+        return self._floor
 
     def _rr(self) -> tuple[Poly, Poly]:
         """Common denominator and mandatory numerator factor of the basis."""
@@ -190,14 +201,15 @@ def exponent_vectors(degrees: list[int], total: int):
     Deterministic order: the exponent of the first generator descends first.
     """
     n = len(degrees)
+    last = n - 1
     out: list[tuple[int, ...]] = []
 
     def rec(i: int, rem: int, prefix: tuple[int, ...]):
-        if i == n:
-            if rem == 0:
-                out.append(prefix)
-            return
         d = degrees[i]
+        if i == last:  # the last exponent is determined by what remains
+            if rem % d == 0:
+                out.append(prefix + (rem // d,))
+            return
         for e in range(rem // d, -1, -1):
             rec(i + 1, rem - e * d, prefix + (e,))
 

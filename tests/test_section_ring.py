@@ -5,6 +5,7 @@ formula dim R_n = deg floor(nD) + 1 and direct expansion of the candidate
 relations; the model code must reproduce them exactly.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -70,6 +71,25 @@ class TestGradedDimension:
         with pytest.raises(ValueError):
             graded_dimension(D_HALF, -1)
 
+    @given(
+        st.dictionaries(
+            st.integers(-6, 6),
+            st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+            max_size=4,
+        ),
+        st.fractions(min_value=-3, max_value=3, max_denominator=12),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=200)
+    def test_matches_floor_divisor_degree(self, finite, at_inf, n):
+        D = d({**{FiniteP1(x): c for x, c in finite.items()}, P1_INFINITY: at_inf})
+        floor = D.scale(n).floor()
+        expected = max(floor.degree() + 1, 0)
+        assert graded_dimension(D, n) == expected
+        piece = Piece(D, n)
+        assert piece.dim == expected
+        assert piece.floor_divisor == floor
+
 
 class TestPiece:
     def test_basis_and_membership(self):
@@ -102,6 +122,19 @@ class TestExponentVectors:
 
     def test_unreachable_total(self):
         assert exponent_vectors([2], 3) == []
+
+    @given(st.lists(st.integers(1, 6), max_size=4), st.integers(0, 20))
+    @settings(max_examples=200)
+    def test_order_matches_brute_force(self, degrees, total):
+        # every exponent descending, the first slowest: the order that fixes
+        # the term order of relations
+        ranges = [range(total // deg, -1, -1) for deg in degrees]
+        expected = [
+            e
+            for e in itertools.product(*ranges)
+            if sum(a * b for a, b in zip(e, degrees)) == total
+        ]
+        assert exponent_vectors(degrees, total) == expected
 
 
 class TestModelHalfInteger:
