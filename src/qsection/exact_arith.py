@@ -138,14 +138,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+        return Poly(convolve(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -208,6 +201,22 @@ class Poly:
                 raise ValueError("polynomial has irrational coefficients")
             out.append(q)
         return tuple(out)
+
+
+def convolve(a, b) -> list:
+    """Coefficients of the product of two polynomials, all lowest degree first.
+
+    Works over any scalars (ints, Fractions, number-field elements); the
+    zero polynomial is the empty sequence.
+    """
+    if not a or not b:
+        return []
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
+    return out
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:

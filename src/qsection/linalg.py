@@ -47,6 +47,7 @@ from math import gcd
 from .exact_arith import scalar_inverse, scalar_is_zero
 
 _ZERO = Fraction(0)
+_INT = {int}
 
 
 def _first_nonzero(vec):
@@ -61,6 +62,9 @@ def _scaled_ints(vec):
 
     None when some entry is neither a Fraction nor an int.
     """
+    types = set(map(type, vec))
+    if types <= _INT:  # what the section-ring builders pass in
+        return list(vec), 1
     L = 1
     for c in vec:
         t = type(c)
@@ -73,6 +77,21 @@ def _scaled_ints(vec):
     if L == 1:
         return [c.numerator for c in vec], 1
     return [c.numerator * (L // c.denominator) for c in vec], L
+
+
+def primitive_multiple(vec) -> list:
+    """A nonzero multiple of vec: primitive ints when every entry is rational,
+    else the entries unchanged.
+
+    Spans, ranks, pivots and kernels do not change when a vector is scaled, so
+    callers that only use those may pass this in place of vec.
+    """
+    scaled = _scaled_ints(vec)
+    if scaled is None:
+        return list(vec)
+    u = scaled[0]
+    g = gcd(*u)
+    return [x // g for x in u] if g > 1 else u
 
 
 def _primitive(u: list[int], p: int) -> list[int]:

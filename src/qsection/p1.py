@@ -47,6 +47,15 @@ class RationalFunctionP1:
         object.__setattr__(self, "denom", denom)
 
     @classmethod
+    def reduced(cls, numer: Poly, denom: Poly) -> "RationalFunctionP1":
+        """numer/denom taken as they are: the caller guarantees that they are
+        coprime and that denom is monic, so no gcd is needed."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "numer", numer)
+        object.__setattr__(out, "denom", denom)
+        return out
+
+    @classmethod
     def one(cls) -> "RationalFunctionP1":
         return cls(Poly.one())
 
@@ -136,21 +145,50 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     scale = 1
     for c in coeffs:
         scale = math.lcm(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    lead = ints[-1]
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    lead = abs(ints[-1])
     const = ints[0]
+    # candidates p/q in lowest terms, q > 0; q divides lead, so p * (lead // q)
+    # orders them by value
     candidates = set()
     for pn in _divisors_of_int(const):
         for qn in _divisors_of_int(lead):
-            candidates.add(Fraction(pn, qn))
-            candidates.add(Fraction(-pn, qn))
-    for cand in sorted(candidates):
-        while work.degree > 0 and work.evaluate(cand) == 0:
-            work = poly_divrem(work, Poly([-cand, Fraction(1)]))[0]
-            roots[cand] = roots.get(cand, 0) + 1
-        if work.degree <= 0:
+            g = math.gcd(pn, qn)
+            candidates.add((pn // g, qn // g))
+            candidates.add((-(pn // g), qn // g))
+    # work = ints * divided / scale: every root p/q found divides ints by the
+    # primitive q*w - p (exactly, by Gauss's lemma) and multiplies divided by q
+    divided = 1
+    for pn, qn in sorted(candidates, key=lambda c: c[0] * (lead // c[1])):
+        while len(ints) > 1 and _homogeneous_value(ints, pn, qn) == 0:
+            ints = _divide_linear(ints, pn, qn)
+            divided *= qn
+            root = Fraction(pn, qn)
+            roots[root] = roots.get(root, 0) + 1
+        if len(ints) <= 1:
             break
-    return roots, work
+    return roots, Poly([Fraction(c * divided, scale) for c in ints])
+
+
+def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
+    """sum_i ints[i] * p^i * q^(n-i), n = len(ints) - 1: q^n times the value at p/q."""
+    acc = 0
+    qpow = 1
+    for c in reversed(ints):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
+def _divide_linear(ints: list[int], p: int, q: int) -> list[int]:
+    """The quotient of ints by q*w - p, which must divide it exactly."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + carry) // q
+        out[i - 1] = carry
+        carry *= p
+    return out
 
 
 def divisor_of(g: RationalFunctionP1, curve: ProjectiveLine | None = None) -> QDivisor:

@@ -41,8 +41,8 @@ from .errors import (
     QSectionError,
     ZeroCandidateError,
 )
-from .exact_arith import Poly
-from .linalg import SpanBuilder
+from .exact_arith import convolve
+from .linalg import SpanBuilder, primitive_multiple
 from .p1 import RationalFunctionP1, divisor_of, principal_function
 from .section_ring import SectionRing, build_section_ring, default_bound
 
@@ -127,11 +127,16 @@ def veronese_transform(D: QDivisor, s: int) -> QDivisor:
     return D.scale(s)
 
 
-def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> Poly:
-    """Coordinate polynomial of the candidate in the piece of its degree."""
+def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
+    """A multiple of the candidate's coordinate polynomial in the piece of its
+    degree: primitive ints when rational, lowest degree first, last entry
+    nonzero."""
     if cand.g.is_zero:
         raise ZeroCandidateError("the candidate is the zero function, which is never prime")
-    return Poly(model.piece(cand.degree).member(cand.g))
+    q = primitive_multiple(model.piece(cand.degree).member(cand.g))
+    while not q[-1]:
+        q.pop()
+    return q
 
 
 def _quotient_dims(dims: list[int], d: int, upto: int) -> list[int]:
@@ -203,6 +208,8 @@ def primality_oracle(
     With q_g the coordinate polynomial of g, x*R_{m-d} is spanned by the
     shifts w^j * q_g * carry(d, m-d); the representative in degree a is a
     basis element w^j_a, so a product of two is w^(j_a+j_b) * carry(a, b).
+    Only spans and membership are asked of these, so q_g and the carries
+    enter as integer multiples (see `section_ring`).
     """
     d = cand.degree
     if not model.generators:
@@ -230,9 +237,9 @@ def primality_oracle(
             piece = model.piece(m)
             span = SpanBuilder(piece.dim)
             if m >= d:
-                base = q_g * model.carry(d, m - d)
+                base = convolve(model.carry(d, m - d)[0], q_g)
                 for j in range(model.piece(m - d).dim):
-                    span.add(piece.vector(base.shifted(j)))
+                    span.add(piece.vector(base, j))
             if piece.dim - span.rank != qdims[m]:
                 raise NegativeDimError(
                     f"inconsistent quotient dimension in degree {m}"
@@ -254,8 +261,8 @@ def primality_oracle(
         for b in support:
             if b < a or a + b > eff:
                 continue
-            prod = model.carry(a, b).shifted(representative(a) + representative(b))
-            vec = model.piece(a + b).vector(prod)
+            carry = model.carry(a, b)[0]
+            vec = model.piece(a + b).vector(carry, representative(a) + representative(b))
             if image(a + b).contains(vec):
                 return OracleResult(False, "product", (a, b), eff)
     return OracleResult(True, "ok", None, eff)

@@ -17,11 +17,39 @@ q_b, then f_a * f_b has coordinate polynomial q_a * q_b * carry(a, b), where
     carry(a, b) = prod_x (w - x)^(floor((a+b)*c_x) - floor(a*c_x) - floor(b*c_x))
 
 and every exponent is 0 or 1: writing {t} = t - floor(t), the exponent is
-floor({a*c_x} + {b*c_x}), and 0 <= {a*c_x} + {b*c_x} < 2.  The model
-memoizes carry polynomials and monomial coordinate polynomials; it converts
-to `RationalFunctionP1` only at its edges (generator functions,
-`SectionRing.monomial`, `Piece.basis`) and reads user functions in through
-`Piece.coords`.
+floor({a*c_x} + {b*c_x}), and 0 <= {a*c_x} + {b*c_x} < 2.  So carry(a, b)
+depends only on the subset of points with exponent 1, and a divisor with k
+finite points has at most 2^k carries; the model builds each one once.
+
+Integer form.  A finite rational point x = a/b (b > 0, a and b coprime)
+enters as the integer linear factor b*w - a, since w - x = (b*w - a) / b.
+Any other point (a number-field coordinate, including a rational point of a
+line over a number field) enters as the factor -x + w with scale 1.  A
+carry, and the coordinate polynomial of a product of generators (a shift
+w^s times a product of carries), is kept as a coefficient list c and an
+integer B with polynomial c / B: B is the product of the b's of the factors
+taken, and c has integer coefficients for a rational divisor.  The lists
+are multiplied by plain convolution (`convolve`), over any scalars.
+
+Linear algebra sees only the lists.  Generator discovery and the primality
+oracle ask for spans, ranks, pivots and membership, and none of them
+changes when a vector is multiplied by a nonzero scalar, so they take c and
+drop B.  Relations are kernel vectors, and the kernel does see the scales:
+if column k of the evaluation map is c_k / B_k, then v is in the kernel of
+the true columns exactly when v'[k] = v[k] / B_k is in the kernel of the
+integer columns c_k, since sum_k v[k] * c_k / B_k = sum_k v'[k] * c_k.
+Column scaling keeps the pivot columns, so both matrices have the same free
+columns.  The canonical kernel vector of a free column f (1 at f, 0 at the
+other free columns) of the integer matrix, v', therefore maps to
+v[k] = v'[k] * B_k / B_f, which is 1 at f and 0 at the other free columns
+and hence the canonical kernel vector of the true matrix: the relations are
+exactly those elimination over the true columns gives.  The free column f
+of v' is its last nonzero entry, because in reduced row echelon form a row
+has no entry left of its pivot.
+
+The model converts to `RationalFunctionP1` only at its edges (generator
+functions, `SectionRing.monomial`, `Piece.basis`) and reads user functions
+in through `Piece.coords`.
 
 The model truncates at a degree bound: generators are discovered degree by
 degree as the echelon complement of products of earlier generators, and
@@ -42,8 +70,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .divisors import InfinityP1, QDivisor
 from .errors import (
@@ -53,9 +82,9 @@ from .errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from .exact_arith import Poly, poly_divrem, scalar_inverse, scalar_is_zero
-from .linalg import SpanBuilder, kernel_basis
-from .p1 import RationalFunctionP1, _rr_data, rr_basis
+from .exact_arith import Poly, convolve, poly_divrem, scalar_inverse, scalar_is_zero
+from .linalg import SpanBuilder, kernel_basis, primitive_multiple
+from .p1 import RationalFunctionP1
 
 
 def _floor_degree(D: QDivisor, n: int) -> int:
@@ -75,20 +104,16 @@ def default_bound(D: QDivisor) -> int:
     return 3 * D.common_denominator()
 
 
-def carry_poly(D: QDivisor, a: int, b: int) -> Poly:
-    """The polynomial taking q_a * q_b to the coordinates of f_a * f_b.
+def _linear_factor(x) -> tuple[list, int]:
+    """(c, B) with w - x = (c[0] + c[1]*w) / B (see the module docstring)."""
+    if type(x) is Fraction:
+        return [-x.numerator, x.denominator], x.denominator
+    return [-x, 1], 1
 
-    prod (w - x) over the finite points x of D with
-    floor((a+b)*c_x) - floor(a*c_x) - floor(b*c_x) = 1 (see the module
-    docstring for why no other exponent occurs).
-    """
-    out = Poly.one()
-    for pt, c in D.entries:
-        if isinstance(pt, InfinityP1):
-            continue
-        if math.floor((a + b) * c) - math.floor(a * c) - math.floor(b * c):
-            out = out * Poly([-pt.coord, Fraction(1)])
-    return out
+
+def _as_poly(coeffs, B: int) -> Poly:
+    """The polynomial coeffs / B."""
+    return Poly([Fraction(c, B) for c in coeffs] if B != 1 else coeffs)
 
 
 class Piece:
@@ -97,6 +122,7 @@ class Piece:
     Sections of the piece are handled as coordinate polynomials (see the
     module docstring); `basis` and `function` turn them into rational
     functions, `coords` and `member` turn rational functions into them.
+    Two pieces are equal when they have the same divisor and degree.
     """
 
     __slots__ = ("divisor", "degree_t", "dim", "_cap", "_floor", "_den_mand", "_basis")
@@ -110,24 +136,47 @@ class Piece:
         self._den_mand = None
         self._basis = None
 
+    def __eq__(self, other):
+        if not isinstance(other, Piece):
+            return NotImplemented
+        return self.degree_t == other.degree_t and self.divisor == other.divisor
+
+    def __hash__(self):
+        return hash((self.divisor, self.degree_t))
+
     @property
     def floor_divisor(self) -> QDivisor:
-        """floor(n*D), built on first use (only the basis needs it)."""
+        """floor(n*D), built on first use."""
         if self._floor is None:
             self._floor = self.divisor.scale(self.degree_t).floor()
         return self._floor
 
     def _rr(self) -> tuple[Poly, Poly]:
-        """Common denominator and mandatory numerator factor of the basis."""
+        """Common denominator den and mandatory numerator factor mand of the basis.
+
+        den = prod (w - x)^e over the points with e = floor(n*c_x) > 0 and
+        mand = prod (w - x)^(-e) over those with e < 0, both monic, built from
+        the integer factors of the points.
+        """
         if self._den_mand is None:
-            self._den_mand = _rr_data(self.floor_divisor)[:2]
+            den, den_b, mand, mand_b = [1], 1, [1], 1
+            for pt, c in self.divisor.entries:
+                if isinstance(pt, InfinityP1):
+                    continue
+                e = self.degree_t * c.numerator // c.denominator
+                factor, b = _linear_factor(pt.coord)
+                for _ in range(e):
+                    den, den_b = convolve(den, factor), den_b * b
+                for _ in range(-e):
+                    mand, mand_b = convolve(mand, factor), mand_b * b
+            self._den_mand = (_as_poly(den, den_b), _as_poly(mand, mand_b))
         return self._den_mand
 
     @property
     def basis(self) -> tuple:
         """The echelon basis of `rr_basis`, built on first use."""
         if self._basis is None:
-            self._basis = tuple(rr_basis(self.floor_divisor))
+            self._basis = tuple(self.unit_function(j) for j in range(self.dim))
         return self._basis
 
     def function(self, q: Poly) -> RationalFunctionP1:
@@ -135,15 +184,31 @@ class Piece:
         den, mand = self._rr()
         return RationalFunctionP1(q * mand, den)
 
-    def vector(self, q: Poly) -> list:
-        """Coordinate vector of the section with coordinate polynomial q."""
-        if q.degree > self._cap:
+    def unit_function(self, j: int) -> RationalFunctionP1:
+        """The basis element w^j * mand / den, in lowest terms without a gcd.
+
+        den and mand are products of (w - x) over disjoint sets of points, so
+        the only common factor of w^j * mand and den is w^k, with k the
+        smaller of j and the order of den at 0; den / w^k is still monic.
+        """
+        den, mand = self._rr()
+        k = 0
+        while k < j and not den.coeffs[k]:
+            k += 1
+        return RationalFunctionP1.reduced(
+            mand.shifted(j - k), Poly(den.coeffs[k:]) if k else den
+        )
+
+    def vector(self, coeffs, shift: int = 0) -> list:
+        """Coordinate vector of the section with coordinate polynomial
+        w^shift * coeffs (coefficients lowest degree first, the last one
+        nonzero); raises MembershipError when that is no section."""
+        pad = self.dim - shift - len(coeffs)
+        if pad < 0:
             raise MembershipError(
                 f"product of sections left the ring in degree {self.degree_t}"
             )
-        out = list(q.coeffs)
-        out += [Fraction(0)] * (self.dim - len(out))
-        return out
+        return [0] * shift + list(coeffs) + [0] * pad
 
     def coords(self, f: RationalFunctionP1):
         """Coordinates of f in this piece's basis, or None if f is no member."""
@@ -161,7 +226,7 @@ class Piece:
             return None
         if p.degree > self._cap:
             return None
-        return self.vector(p)
+        return self.vector(p.coeffs)
 
     def member(self, f: RationalFunctionP1) -> list:
         vec = self.coords(f)
@@ -174,16 +239,20 @@ class Piece:
 
 @dataclass(frozen=True)
 class Generator:
-    """A generator: basis element `column` of the piece of its degree.
+    """A generator: basis element `column` of `piece`, the piece of its degree.
 
     Its coordinate polynomial is w^column; `func` is the same section as a
-    rational function.
+    rational function, built on first use.
     """
 
     degree: int
     index: int
-    func: RationalFunctionP1
     column: int
+    piece: Piece = field(repr=False)
+
+    @cached_property
+    def func(self) -> RationalFunctionP1:
+        return self.piece.unit_function(self.column)
 
 
 @dataclass(frozen=True)
@@ -234,10 +303,17 @@ class SectionRing:
         self.generators: list[Generator] = []
         self.irredundant = False
         self.generators_at_bound = False
-        # coordinate polynomials of generator monomials, keyed by exponent
+        # (numerator, denominator, integer factor, B) of each finite point
+        self._points = [
+            (c.numerator, c.denominator, *_linear_factor(pt.coord))
+            for pt, c in divisor.entries
+            if not isinstance(pt, InfinityP1)
+        ]
+        # (shift, coefficients, B) of generator monomials, keyed by exponent
         # vectors without trailing zeros
-        self._mono_memo: dict[tuple[int, ...], Poly] = {(): Poly.one()}
-        self._carry_memo: dict[tuple[int, int], Poly] = {}
+        self._mono_memo: dict[tuple, tuple[int, list, int]] = {(): (0, [1], 1)}
+        self._carry_subset: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._carry_memo: dict[tuple[int, ...], tuple[list, int]] = {}
         self._relations: list[Relation] | None = None
         self._hilbert: HilbertSeries | None = None
 
@@ -254,37 +330,56 @@ class SectionRing:
     def generator_degrees(self) -> list[int]:
         return [g.degree for g in self.generators]
 
-    def carry(self, a: int, b: int) -> Poly:
-        """`carry_poly` of the divisor, memoized per model."""
-        key = (a, b) if a <= b else (b, a)
-        q = self._carry_memo.get(key)
-        if q is None:
-            q = self._carry_memo[key] = carry_poly(self.divisor, a, b)
-        return q
+    def carry(self, a: int, b: int) -> tuple[list, int]:
+        """(c, B) with carry(a, b) = c / B (see the module docstring).
 
-    def monomial_coords(self, expo: tuple[int, ...]) -> Poly:
-        """Coordinate polynomial of a product of generator powers, memoized."""
+        Memoized twice per model: (a, b) to the subset of points with
+        exponent 1, and the subset to its product, so each distinct carry is
+        multiplied out once.
+        """
+        key = (a, b) if a <= b else (b, a)
+        subset = self._carry_subset.get(key)
+        if subset is None:
+            # floor({a*c} + {b*c}) is 1 exactly when the remainders overflow
+            subset = self._carry_subset[key] = tuple(
+                i
+                for i, (num, den, _, _) in enumerate(self._points)
+                if (a * num) % den + (b * num) % den >= den
+            )
+        out = self._carry_memo.get(subset)
+        if out is None:
+            coeffs, B = [1], 1
+            for i in subset:
+                factor, b_i = self._points[i][2:]
+                coeffs, B = convolve(coeffs, factor), B * b_i
+            out = self._carry_memo[subset] = (coeffs, B)
+        return out
+
+    def monomial_coords(self, expo: tuple[int, ...]) -> tuple[int, list, int]:
+        """(s, c, B): a product of generator powers has coordinate polynomial
+        w^s * c / B; memoized."""
         key = tuple(expo)
         while key and key[-1] == 0:
             key = key[:-1]
         memo = self._mono_memo
-        q = memo.get(key)
-        if q is None:
+        out = memo.get(key)
+        if out is None:
             i = len(key) - 1
             smaller = key[:i] + (key[i] - 1,)
             gen = self.generators[i]
             rest = sum(e * g.degree for e, g in zip(smaller, self.generators))
-            q = self.monomial_coords(smaller)
-            carry = self.carry(gen.degree, rest)
-            if carry.degree > 0:  # skip the common case of a carry of 1
-                q = q * carry
-            q = memo[key] = q.shifted(gen.column)
-        return q
+            shift, coeffs, B = self.monomial_coords(smaller)
+            carry, carry_b = self.carry(gen.degree, rest)
+            if len(carry) > 1:  # skip the common case of a carry of 1
+                coeffs, B = convolve(carry, coeffs), B * carry_b
+            out = memo[key] = (shift + gen.column, coeffs, B)
+        return out
 
     def monomial(self, expo: tuple[int, ...]) -> RationalFunctionP1:
         """Product of generator powers as a rational function."""
         degree = sum(e * g.degree for e, g in zip(expo, self.generators))
-        return self.piece(degree).function(self.monomial_coords(expo))
+        shift, coeffs, B = self.monomial_coords(expo)
+        return self.piece(degree).function(_as_poly(coeffs, B).shifted(shift))
 
     def extend(self, bound: int) -> "SectionRing":
         """Discover generators up to a higher bound, keeping all earlier work.
@@ -304,12 +399,12 @@ class SectionRing:
                 continue
             span = SpanBuilder(piece.dim)
             for expo in exponent_vectors(self.generator_degrees, n):
-                span.add(piece.vector(self.monomial_coords(expo)))
+                shift, coeffs, _ = self.monomial_coords(expo)
+                span.add(piece.vector(coeffs, shift))
             pivots = set(span.pivots)
             for j in range(piece.dim):
                 if j not in pivots:
-                    func = piece.function(Poly.one().shifted(j))
-                    self.generators.append(Generator(n, len(self.generators), func, j))
+                    self.generators.append(Generator(n, len(self.generators), j, piece))
         self.bound = bound
         self._relations = None
         self._hilbert = None
@@ -345,31 +440,52 @@ def find_relations(model: SectionRing) -> list[Relation]:
     In degree n the kernel of the monomial evaluation map is computed, the
     subspace spanned by (lower-degree relation) * (monomial) is removed, and
     each surviving kernel vector, echelon-reduced and normalized to leading
-    coefficient one, is recorded as a new minimal relation.
+    coefficient one, is recorded as a new minimal relation.  The kernel is
+    taken over the integer columns and scaled back (see the module
+    docstring).  Every consequence (relation times monomial) lies in the
+    kernel, so once their span has the kernel's dimension no new relation
+    can follow in that degree, and the remaining consequences are not formed.
     """
     if model._relations is not None:
         return model._relations
     degrees = [g.degree for g in model.generators]
     relations: list[Relation] = []
+    # (degree, terms with a primitive multiple of the coefficients) per relation
+    scaled_terms: list[tuple[int, list]] = []
     for n in range(1, model.bound + 1):
         monos = exponent_vectors(degrees, n)
         if not monos or all(not any(e) for e in monos):
             continue
         piece = model.piece(n)
         index = {e: i for i, e in enumerate(monos)}
-        columns = [piece.vector(model.monomial_coords(e)) for e in monos]
+        columns, scales = [], []
+        for e in monos:
+            shift, coeffs, B = model.monomial_coords(e)
+            columns.append(piece.vector(coeffs, shift))
+            scales.append(B)
         kern = kernel_basis(columns, piece.dim)
         if not kern:
             continue
+        full = len(kern)
         consequences = SpanBuilder(len(monos))
-        for rel in relations:
-            for mu in exponent_vectors(degrees, n - rel.degree):
-                vec = [Fraction(0)] * len(monos)
-                for expo, coeff in rel.terms:
-                    shifted = tuple(a + b for a, b in zip(expo, mu))
-                    vec[index[shifted]] = vec[index[shifted]] + coeff
+        for rel_degree, terms in scaled_terms:
+            if consequences.rank == full:
+                break
+            for mu in exponent_vectors(degrees, n - rel_degree):
+                vec = [0] * len(monos)
+                for expo, coeff in terms:
+                    vec[index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
                 consequences.add(vec)
+                if consequences.rank == full:
+                    break
         for v in kern:
+            if consequences.rank == full:
+                break
+            free_scale = scales[max(i for i, c in enumerate(v) if c)]
+            v = [
+                c * Fraction(B, free_scale) if c and B != free_scale else c
+                for c, B in zip(v, scales)
+            ]
             res = consequences.reduce(v)
             lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
             if lead is None:
@@ -380,6 +496,8 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 (monos[i], c) for i, c in enumerate(res) if not scalar_is_zero(c)
             )
             relations.append(Relation(n, terms))
+            coeffs = primitive_multiple([c for _, c in terms])
+            scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
             consequences.add(res)
     model._relations = relations
     return relations

@@ -1,14 +1,19 @@
 """Rational functions on the line: divisors, H0 bases, principal functions."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import IrrationalZerosError
-from qsection.exact_arith import NumberField, Poly
+from qsection.exact_arith import NumberField, Poly, poly_divrem
 from qsection.p1 import (
     RationalFunctionP1,
+    _divisors_of_int,
+    _rational_linear_roots,
     div_of_function,
     divisor_of,
     principal_function,
@@ -140,3 +145,57 @@ class TestPrincipalFunction:
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
             principal_function(d({FiniteP1(0): F(1, 2), P1_INFINITY: F(-1, 2)}))
+
+
+def reference_linear_roots(p: Poly):
+    """Root extraction by Fraction evaluation and long division: the
+    implementation the integer one replaced, kept as the reference."""
+    coeffs = list(p.rational_coeffs())
+    roots = {}
+    zero_mult = 0
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        zero_mult += 1
+    if zero_mult:
+        roots[F(0)] = zero_mult
+    work = Poly(coeffs)
+    if work.degree <= 0:
+        return roots, work
+    scale = 1
+    for c in coeffs:
+        scale = math.lcm(scale, c.denominator)
+    ints = [int(c * scale) for c in coeffs]
+    candidates = set()
+    for pn in _divisors_of_int(ints[0]):
+        for qn in _divisors_of_int(ints[-1]):
+            candidates.add(F(pn, qn))
+            candidates.add(F(-pn, qn))
+    for cand in sorted(candidates):
+        while work.degree > 0 and work.evaluate(cand) == 0:
+            work = poly_divrem(work, Poly([-cand, F(1)]))[0]
+            roots[cand] = roots.get(cand, 0) + 1
+        if work.degree <= 0:
+            break
+    return roots, work
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+class TestLinearRoots:
+    @given(
+        st.lists(small_rationals, max_size=4),
+        st.lists(st.integers(-5, 5), max_size=3),
+        st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 6)),
+    )
+    @settings(max_examples=200)
+    def test_integer_trial_division_matches_fraction_reference(self, roots, rest, scale):
+        # (w - r) over the drawn roots times a residual factor, scaled
+        p = Poly([scale]) * (Poly([c for c in rest]) if any(rest) else Poly.one())
+        for r in roots:
+            p = p * Poly([-r, F(1)])
+        got_roots, got_residual = _rational_linear_roots(p)
+        want_roots, want_residual = reference_linear_roots(p)
+        assert list(got_roots.items()) == list(want_roots.items())
+        assert got_residual == want_residual
+        assert repr(got_residual) == repr(want_residual)

@@ -6,6 +6,8 @@ relations; the model code must reproduce them exactly.
 """
 
 import itertools
+import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -21,14 +23,14 @@ from qsection.errors import (
     PoleOrderMismatchError,
 )
 from qsection.exact_arith import NumberField, Poly
-from qsection.p1 import RationalFunctionP1
+from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
     HilbertSeries,
     Piece,
+    SectionRing,
     a_invariant,
     build_ring,
     build_section_ring,
-    carry_poly,
     default_bound,
     exponent_vectors,
     find_relations,
@@ -256,6 +258,18 @@ class TestModelExtension:
         assert extended.generators_at_bound == fresh.generators_at_bound
 
 
+def carry_poly(D, a, b):
+    """Reference carry: prod (w - x) over the finite points x of D with
+    floor((a+b)*c_x) - floor(a*c_x) - floor(b*c_x) = 1, as a Poly product."""
+    out = Poly.one()
+    for pt, c in D.entries:
+        if pt == P1_INFINITY:
+            continue
+        if math.floor((a + b) * c) - math.floor(a * c) - math.floor(b * c):
+            out = out * Poly([-pt.coord, F(1)])
+    return out
+
+
 Q_SQRT2 = NumberField((-2, 0, 1))
 SQRT2 = Q_SQRT2.gen()
 
@@ -301,9 +315,111 @@ class TestCarryProduct:
         D, a, b, qa, qb = case
         pa, pb, pab = Piece(D, a), Piece(D, b), Piece(D, a + b)
         fa, fb = pa.function(qa), pb.function(qb)
-        assert pa.coords(fa) == pa.vector(qa)
-        assert pb.coords(fb) == pb.vector(qb)
-        assert pab.vector(qa * qb * carry_poly(D, a, b)) == pab.coords(fa * fb)
+        assert pa.coords(fa) == pa.vector(qa.coeffs)
+        assert pb.coords(fb) == pb.vector(qb.coeffs)
+        assert pab.vector((qa * qb * carry_poly(D, a, b)).coeffs) == pab.coords(fa * fb)
+
+
+class TestIntegerCarries:
+    @pytest.mark.parametrize(
+        "D",
+        [
+            D_HALF,
+            D_42,
+            d({FiniteP1(F(-3, 2)): F(1, 3), FiniteP1(F(2, 5)): F(-2, 5),
+               FiniteP1(7): F(3, 4), P1_INFINITY: F(1, 6)}),
+            QDivisor(ProjectiveLine(Q_SQRT2), {FiniteP1(SQRT2): F(1, 2),
+                                                FiniteP1(F(1, 3)): F(-1, 3)}),
+        ],
+    )
+    def test_one_carry_per_point_subset(self, D):
+        model = SectionRing(D)
+        k = sum(1 for pt, _ in D.entries if pt != P1_INFINITY)
+        for a in range(25):
+            for b in range(25):
+                coeffs, B = model.carry(a, b)
+                assert Poly(coeffs).scale(F(1, B)) == carry_poly(D, a, b)
+        assert len(model._carry_memo) <= 2**k
+
+
+@st.composite
+def small_pieces(draw):
+    """A piece of dimension at most 8 of a 1-3 point divisor, over Q or,
+    one draw in four, over Q(sqrt 2) with a point at sqrt(2)."""
+    over_nf = draw(st.integers(0, 3)) == 0
+    coords = draw(st.lists(st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+                           min_size=1, max_size=3, unique=True))
+    points = [FiniteP1(c) for c in coords]
+    if over_nf:
+        points[0] = FiniteP1(SQRT2)
+    if draw(st.booleans()):
+        points.append(P1_INFINITY)
+    entries = [(pt, draw(st.builds(F, st.integers(-6, 6), st.integers(1, 4)))) for pt in points]
+    D = QDivisor(ProjectiveLine(Q_SQRT2) if over_nf else P1, entries)
+    piece = Piece(D, draw(st.integers(0, 6)))
+    assume(piece.dim <= 8)
+    return piece
+
+
+class TestBasisFunctions:
+    @given(small_pieces())
+    @settings(max_examples=200)
+    def test_reduced_basis_matches_normalising_constructor(self, piece):
+        # rr_basis builds each element with the gcd-normalising constructor
+        assert piece.basis == tuple(rr_basis(piece.floor_divisor))
+        for f in piece.basis:
+            assert RationalFunctionP1(f.numer, f.denom) == f
+
+
+small_coefficients = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def rational_divisors(draw):
+    """A rational divisor on 1-2 finite points and infinity, of degree 1/3,
+    1/2 or 2/3, with finite coefficient denominators <= 3.
+
+    The degree cap keeps the pieces small enough for number-field
+    elimination, which is about a hundred times slower than the integer path.
+    """
+    coords = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2, unique=True))
+    entries = {
+        FiniteP1(F(c, draw(st.integers(1, 2)))): draw(small_coefficients) for c in coords
+    }
+    degree = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]))
+    entries[P1_INFINITY] = degree - sum(entries.values())
+    return d(entries)
+
+
+def rf_sum(terms):
+    """sum c * f over (c, f) terms, as numerator and denominator polynomials."""
+    numer, denom = Poly.zero(), Poly.one()
+    for c, f in terms:
+        numer = numer * f.denom + f.numer.scale(c) * denom
+        denom = denom * f.denom
+    return numer
+
+
+class TestNumberFieldCrossCheck:
+    """The integer path against the number-field scalars of the same divisor."""
+
+    @given(rational_divisors())
+    @settings(max_examples=200)
+    def test_same_model_over_q_and_q_sqrt2(self, D):
+        D_nf = QDivisor(ProjectiveLine(Q_SQRT2), D.entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            model = build_section_ring(D, 8)
+            model_nf = build_section_ring(D_nf, 8)
+        assert model.dims == model_nf.dims
+        assert [(g.degree, g.column) for g in model.generators] == [
+            (g.degree, g.column) for g in model_nf.generators
+        ]
+        assert all(B == 1 for _, B in model_nf._carry_memo.values())
+        relations = find_relations(model)
+        assert relations == find_relations(model_nf)
+        for rel in relations:
+            assert rf_sum((c, model.monomial(e)) for e, c in rel.terms).is_zero
 
 
 class TestHilbertSeries:
