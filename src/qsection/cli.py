@@ -20,6 +20,7 @@ All rationals travel as strings "p/q"; output is deterministic
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -454,7 +455,10 @@ def cmd_ec(args) -> dict:
     }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged and returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="qsection",
         description="Exact section-ring computations for rational divisors on curves.",

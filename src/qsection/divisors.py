@@ -86,7 +86,7 @@ def point_sort_key(pt: CurvePoint):
 class QDivisor:
     """A formal sum of points with exact rational coefficients."""
 
-    __slots__ = ("curve", "entries", "_map")
+    __slots__ = ("curve", "entries", "_map", "_pairs")
 
     def __init__(self, curve, entries):
         items = entries.items() if hasattr(entries, "items") else entries
@@ -120,6 +120,19 @@ class QDivisor:
             return "QDivisor(0)"
         parts = [f"{c}*{pt!r}" for pt, c in self.entries]
         return f"QDivisor({' + '.join(parts)})"
+
+    @property
+    def coefficient_pairs(self) -> tuple:
+        """(numerator, denominator) of each coefficient, in entry order.
+
+        Read from the Fractions once per divisor, for loops that evaluate
+        floors of multiples of the coefficients in integer arithmetic.
+        """
+        try:
+            return self._pairs
+        except AttributeError:
+            self._pairs = tuple((c.numerator, c.denominator) for _, c in self.entries)
+            return self._pairs
 
     def points(self) -> tuple:
         return tuple(pt for pt, _ in self.entries)

@@ -22,6 +22,20 @@ Three routes are kept deliberately separate and cross-checked:
   nonzero quotient representatives staying nonzero modulo the ideal.  It
   reads the candidate into coordinates once and then works with coordinate
   polynomials and the model's carry polynomials (see `section_ring`).
+
+Indecomposable oracle pairs.  Let S be the quotient support (degrees n >= 1
+with (R/xR)_n of dimension one) and r_n the representative in degree n.
+The pairs (a, b), a <= b, a + b within the window, are ordered by a, then
+b, and the first pair with r_a * r_b = 0 in the quotient is the witness.
+Only a that are not a sum a1 + a2 of two degrees of S need to be tried:
+suppose (a, b) is the first vanishing pair and a = a1 + a2 with a1 <= a2 in
+S.  Every pair with first entry below a is nonzero.  So r_a1 * r_a2 is a
+nonzero element of the one-dimensional (R/xR)_a, r_a1 * r_a2 = mu * r_a with
+mu != 0; likewise r_a2 * r_b = nu * r_(a2+b) with nu != 0 (a2 < a <= b), and
+r_a1 * r_(a2+b) != 0 (a1 < a).  Hence
+r_a * r_b = (nu / mu) * r_a1 * r_(a2+b) != 0, a contradiction.  The first
+vanishing pair therefore has an indecomposable a, so restricting a keeps
+both the verdict and the witness.
 """
 
 from __future__ import annotations
@@ -203,7 +217,9 @@ def primality_oracle(
     polynomial ring in one variable).  Otherwise each nonzero quotient
     degree has a single representative, and x is prime up to the bound if
     and only if every pairwise product of representatives stays outside
-    x*R.  The first vanishing product is returned as the witness pair.
+    x*R.  The first vanishing product is returned as the witness pair; only
+    pairs whose smaller degree is no sum of two support degrees are tested,
+    which finds the same first pair (see the module docstring).
 
     With q_g the coordinate polynomial of g, x*R_{m-d} is spanned by the
     shifts w^j * q_g * carry(d, m-d); the representative in degree a is a
@@ -257,7 +273,10 @@ def primality_oracle(
         return rep_cache[m]
 
     support = [n for n in range(1, eff + 1) if qdims[n] == 1]
+    in_support = set(support)
     for a in support:
+        if any(a - a1 in in_support for a1 in support if 2 * a1 <= a):
+            continue
         for b in support:
             if b < a or a + b > eff:
                 continue

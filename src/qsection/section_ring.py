@@ -59,6 +59,38 @@ Groebner machinery is involved; everything is exact linear algebra over the
 scalar field.  A model can be extended to a higher bound in place; it then
 equals a model built at that bound from scratch.
 
+Proven generator bound.  Let N be the common denominator of the
+coefficients, so that N*D is integral and floor((n+N)*D) = floor(n*D) + N*D.
+On the line, multiplication H0(O(A)) x H0(O(B)) -> H0(O(A+B)) is onto
+whenever deg A >= 0 and deg B >= 0.  With A = floor(n*D) and B = N*D this
+gives R_{n+N} = R_n * R_N whenever R_n != 0.  So a degree m with
+R_{m-N} != 0 and m > N is a sum of products of lower degrees and carries no
+generator, and every generator has degree at most
+
+    B* = N + max{n >= 1 : R_n = 0}        (N when no such n exists).
+
+The set is finite: floor(t) > t - 1, so deg floor(n*D) > n*deg D - k with k
+the number of support points, and R_n != 0 once n*deg D >= k; the scan stops
+there.  `SectionRing.generator_bound` is B*, computed once per model from
+the integer coefficient pairs.  In degrees above it `extend` records the
+piece and skips the span.  The default bound stays 3N.
+
+Multiplication maps.  In degree n the span of products of earlier
+generators is sum_g g * R_{n - d_g} over the generators g found so far
+(degrees d_g < n): every monomial of degree n with first factor g lies in
+g * R_{n - d_g}, and R_{n - d_g} is spanned by monomials because the
+generators of degrees below n generate the ring below n.  Its vectors are
+the coordinate polynomials w^(column_g + j) * carry(d_g, n - d_g) for
+j < dim R_{n - d_g}.  Pivots of a span do not depend on the order in which
+its vectors arrive, so the generator columns are those of full monomial
+enumeration; the span stops growing once it fills the piece.
+
+Counted kernels.  In degree n the monomials in the generators span R_n, so
+the evaluation map has kernel dimension (number of monomials) - dim R_n.
+`find_relations` forms the consequences of earlier relations first, and
+builds the columns and their kernel only when the consequences fall short
+of that dimension; otherwise no new relation can arise in degree n.
+
 The Hilbert series is fitted numerically: with denominator exponents equal
 to the generator degrees, the numerator is the (finite) product of the
 dimension series with the denominator factors, and the fit is accepted only
@@ -87,16 +119,17 @@ from .linalg import SpanBuilder, kernel_basis, primitive_multiple
 from .p1 import RationalFunctionP1
 
 
-def _floor_degree(D: QDivisor, n: int) -> int:
-    """deg floor(n*D) = sum_x floor(n*c_x), without building a divisor."""
-    return sum(n * c.numerator // c.denominator for _, c in D.entries)
+def _floor_degree(pairs, n: int) -> int:
+    """deg floor(n*D) = sum_x floor(n*c_x) from the (numerator, denominator)
+    pairs of D's coefficients, without building a divisor."""
+    return sum(n * a // b for a, b in pairs)
 
 
 def graded_dimension(D: QDivisor, n: int) -> int:
     """dim H0(O(floor(n*D))) on the line: max(deg floor(n*D) + 1, 0)."""
     if n < 0:
         raise ValueError("graded pieces are indexed by nonnegative degrees")
-    return max(_floor_degree(D, n) + 1, 0)
+    return max(_floor_degree(D.coefficient_pairs, n) + 1, 0)
 
 
 def default_bound(D: QDivisor) -> int:
@@ -130,7 +163,7 @@ class Piece:
     def __init__(self, D: QDivisor, n: int):
         self.divisor = D
         self.degree_t = n
-        self._cap = _floor_degree(D, n)
+        self._cap = _floor_degree(D.coefficient_pairs, n)
         self.dim = max(self._cap + 1, 0)
         self._floor = None
         self._den_mand = None
@@ -330,6 +363,20 @@ class SectionRing:
     def generator_degrees(self) -> list[int]:
         return [g.degree for g in self.generators]
 
+    @cached_property
+    def generator_bound(self) -> int:
+        """B*, above which no degree holds a generator (see the module
+        docstring); raises NotAmpleError unless deg D > 0."""
+        pairs = self.divisor.coefficient_pairs
+        N = math.lcm(*(b for _, b in pairs))
+        degree_N = sum(a * (N // b) for a, b in pairs)  # N * deg D
+        if degree_N <= 0:
+            raise NotAmpleError(f"divisor degree {self.divisor.degree()} is not positive")
+        # R_n != 0 once n * deg D >= k, the number of support points
+        scan_end = -(-len(pairs) * N // degree_N)
+        empty = [n for n in range(1, scan_end) if _floor_degree(pairs, n) < 0]
+        return N + max(empty, default=0)
+
     def carry(self, a: int, b: int) -> tuple[list, int]:
         """(c, B) with carry(a, b) = c / B (see the module docstring).
 
@@ -384,23 +431,31 @@ class SectionRing:
     def extend(self, bound: int) -> "SectionRing":
         """Discover generators up to a higher bound, keeping all earlier work.
 
-        In each degree the span of products of already-known generators is
-        echelonized inside the piece; basis elements at the non-pivot
-        columns (left to right) become new generators.  A warning is issued
-        when a generator shows up exactly at the bound, since then nothing
-        certifies that higher degrees hold no further generators.
+        In each degree up to `generator_bound` the span of products of
+        already-known generators, sum_g g * R_{n - d_g}, is echelonized
+        inside the piece; basis elements at the non-pivot columns (left to
+        right) become new generators.  Higher degrees hold no generator and
+        get their piece only.  A warning is issued when a generator shows up
+        exactly at the bound, since then nothing certifies that higher
+        degrees hold no further generators.
         """
         if bound < self.bound:
             raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
+        top = self.generator_bound
         for n in range(self.bound + 1, bound + 1):
             piece = Piece(self.divisor, n)
             self.pieces.append(piece)
-            if piece.dim == 0:
+            if piece.dim == 0 or n > top:
                 continue
             span = SpanBuilder(piece.dim)
-            for expo in exponent_vectors(self.generator_degrees, n):
-                shift, coeffs, _ = self.monomial_coords(expo)
-                span.add(piece.vector(coeffs, shift))
+            for g in self.generators:
+                if span.rank == piece.dim:
+                    break
+                carry = self.carry(g.degree, n - g.degree)[0]
+                for j in range(self.pieces[n - g.degree].dim):
+                    span.add(piece.vector(carry, g.column + j))
+                    if span.rank == piece.dim:
+                        break
             pivots = set(span.pivots)
             for j in range(piece.dim):
                 if j not in pivots:
@@ -443,8 +498,10 @@ def find_relations(model: SectionRing) -> list[Relation]:
     coefficient one, is recorded as a new minimal relation.  The kernel is
     taken over the integer columns and scaled back (see the module
     docstring).  Every consequence (relation times monomial) lies in the
-    kernel, so once their span has the kernel's dimension no new relation
-    can follow in that degree, and the remaining consequences are not formed.
+    kernel, whose dimension is the number of monomials minus dim R_n, so
+    once their span has that dimension no new relation can follow in that
+    degree: the remaining consequences, the columns and the kernel are not
+    formed.
     """
     if model._relations is not None:
         return model._relations
@@ -454,19 +511,11 @@ def find_relations(model: SectionRing) -> list[Relation]:
     scaled_terms: list[tuple[int, list]] = []
     for n in range(1, model.bound + 1):
         monos = exponent_vectors(degrees, n)
-        if not monos or all(not any(e) for e in monos):
-            continue
         piece = model.piece(n)
-        index = {e: i for i, e in enumerate(monos)}
-        columns, scales = [], []
-        for e in monos:
-            shift, coeffs, B = model.monomial_coords(e)
-            columns.append(piece.vector(coeffs, shift))
-            scales.append(B)
-        kern = kernel_basis(columns, piece.dim)
-        if not kern:
+        full = len(monos) - piece.dim  # the kernel dimension
+        if full <= 0:
             continue
-        full = len(kern)
+        index = {e: i for i, e in enumerate(monos)}
         consequences = SpanBuilder(len(monos))
         for rel_degree, terms in scaled_terms:
             if consequences.rank == full:
@@ -478,7 +527,14 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 consequences.add(vec)
                 if consequences.rank == full:
                     break
-        for v in kern:
+        if consequences.rank == full:
+            continue
+        columns, scales = [], []
+        for e in monos:
+            shift, coeffs, B = model.monomial_coords(e)
+            columns.append(piece.vector(coeffs, shift))
+            scales.append(B)
+        for v in kernel_basis(columns, piece.dim):
             if consequences.rank == full:
                 break
             free_scale = scales[max(i for i, c in enumerate(v) if c)]

@@ -447,6 +447,71 @@ class TestEC:
         assert "singular" in err["error"]["message"]
 
 
+class TestParserReuse:
+    """main() builds its parser once per process; no call may see another's
+    options."""
+
+    def test_bound_flag_does_not_stick(self, tmp_path, capsys):
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        job_path = write_job(tmp_path, {**HALF_INTEGER_JOB, "bound": 7}, "bound.json")
+        code, out, _ = run_cli(["ring", "--input", path, "--bound", "5", "--emit", "dims"], capsys)
+        assert code == 0 and out["bound"] == 5
+        code, out, _ = run_cli(["ring", "--input", path, "--emit", "dims"], capsys)
+        assert code == 0 and out["bound"] == 6  # the default 3N
+        code, out, _ = run_cli(["ring", "--input", job_path, "--emit", "dims"], capsys)
+        assert code == 0 and out["bound"] == 7
+
+    def test_primes_after_semigroup(self, tmp_path, capsys):
+        sg_path = write_job(tmp_path, {"generators": [3, 5, 7]}, "sg.json")
+        code, out, _ = run_cli(["semigroup", "--input", sg_path], capsys)
+        assert code == 0 and out["frobenius"] == 4
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        code, out, _ = run_cli(["primes", "enumerate", "--input", path], capsys)
+        assert code == 0 and out["summary"] == {"2": "family"}
+
+    def test_usage_errors_still_exit_two(self, tmp_path, capsys):
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        for argv in (["ring", "--input", path, "--bogus"], ["primes", "--input", path]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: qsection")
+        code, out, _ = run_cli(["ring", "--input", path, "--emit", "dims"], capsys)
+        assert code == 0 and out["bound"] == 6
+
+
+def test_thin_enumerate_finishes(tmp_path):
+    """primes enumerate on 1/1000*[inf], which ran for half a minute while
+    the oracle tried every pair of support degrees; the verdicts are those of
+    that slower oracle."""
+    path = write_job(tmp_path, {"divisor": [{"point": "inf", "coeff": "1/1000"}]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsection", "primes", "enumerate", "--input", path],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["summary"] == {"1": "unique", "1000": "family"}
+    assert out["oracle_bound"] == 3000
+    assert out["verdicts"] == [
+        {
+            "degree": 1, "s": 1000, "kind": "unique", "oracle_bound": 2001,
+            "point": "inf", "generator": {"denom": ["1"], "numer": ["1"]},
+            "generator_divisor": [],
+        },
+        {
+            "degree": 1000, "s": 1, "kind": "family", "oracle_bound": 3000,
+            "excluded": ["inf"],
+            "samples": [
+                {"generator": {"denom": ["1"], "numer": ["0", "1"]}, "point": "0"},
+                {"generator": {"denom": ["1"], "numer": ["-1", "1"]}, "point": "1"},
+            ],
+        },
+    ]
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(HALF_INTEGER_JOB), encoding="utf-8")

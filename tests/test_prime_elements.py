@@ -1,9 +1,12 @@
 """Prime-element machinery: profiles, necessary conditions, oracle, search."""
 
+import functools
 import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection import prime_elements
@@ -15,11 +18,15 @@ from qsection.errors import (
     NotLinearlyEquivalentError,
     QSectionError,
 )
-from qsection.exact_arith import Poly
+from qsection.exact_arith import NumberField, Poly
+from qsection.linalg import SpanBuilder
 from qsection.p1 import RationalFunctionP1, divisor_of
 from qsection.prime_elements import (
+    OracleResult,
     PrimeCandidate,
+    _candidate_coords,
     _model_for_oracle,
+    _quotient_dims,
     construct_prime,
     enumerate_primes,
     necessary_check,
@@ -27,7 +34,7 @@ from qsection.prime_elements import (
     quotient_profile,
     veronese_transform,
 )
-from qsection.section_ring import build_ring
+from qsection.section_ring import Piece, SectionRing, build_ring
 
 P1 = ProjectiveLine()
 
@@ -151,6 +158,100 @@ class TestPrimalityOracle:
         # (w-1)^2/w squared is the canonical nonzero class in degrees 3+3
         vec = prod_piece.coords(prod)
         assert vec is not None
+
+
+def reference_oracle(model, cand):
+    """The oracle over all pairs, the reference for indecomposable pairs:
+    every pair a <= b of support degrees with a + b in the default window is
+    tested, in the order (a, b)."""
+    d = cand.degree
+    eff = 2 * max(model.generator_degrees) + d
+    q_g = _candidate_coords(model, cand)
+    qdims = _quotient_dims(model.dims, d, eff)
+    for n in range(1, eff + 1):
+        if qdims[n] > 1:
+            return OracleResult(False, "dimension", (n,), eff)
+
+    @functools.cache
+    def image(m):
+        piece = model.piece(m)
+        span = SpanBuilder(piece.dim)
+        if m >= d:
+            base = Poly(q_g) * Poly(model.carry(d, m - d)[0])
+            for j in range(model.piece(m - d).dim):
+                span.add(piece.vector(base.coeffs, j))
+        return span
+
+    def representative(m):
+        pivots = image(m).pivots
+        return next(j for j in range(model.piece(m).dim) if j not in pivots)
+
+    support = [n for n in range(1, eff + 1) if qdims[n] == 1]
+    for a in support:
+        for b in support:
+            if b < a or a + b > eff:
+                continue
+            carry = model.carry(a, b)[0]
+            vec = model.piece(a + b).vector(carry, representative(a) + representative(b))
+            if image(a + b).contains(vec):
+                return OracleResult(False, "product", (a, b), eff)
+    return OracleResult(True, "ok", None, eff)
+
+
+Q_SQRT2 = NumberField((-2, 0, 1))
+SQRT2 = Q_SQRT2.gen()
+POINT_COORDS = sorted({F(c, b) for c in range(-3, 4) for b in (1, 2)})
+
+
+@st.composite
+def oracle_cases(draw):
+    """A model of a divisor of degree 1/q on 2-4 points and a candidate.
+
+    The coefficients are k/q with q <= 6 and k != 0 of either sign, so that
+    primes can exist and pair witnesses occur (R_q is never zero).  The
+    candidate of degree d <= q is a basis element of R_d or a small
+    combination of basis elements.  One draw in four puts the divisor on the
+    line over Q(sqrt 2), with a point at sqrt(2) + c, q <= 2 and an oracle
+    window <= 8.
+    """
+    over_nf = draw(st.integers(0, 3)) == 0
+    npts = draw(st.integers(2, 4))
+    coords = draw(st.permutations(POINT_COORDS))[:npts]
+    points = [FiniteP1(c) for c in coords]
+    if draw(st.booleans()):
+        points[-1] = P1_INFINITY
+    if over_nf:
+        points[0] = FiniteP1(SQRT2 + coords[0])
+    q = draw(st.integers(1, 2 if over_nf else 6))
+    ks = [draw(st.sampled_from([k for k in range(-q, q + 1) if k])) for _ in points[1:]]
+    ks.append(1 - sum(ks))
+    assume(ks[-1])
+    curve = ProjectiveLine(Q_SQRT2) if over_nf else P1
+    D = QDivisor(curve, [(pt, F(k, q)) for pt, k in zip(points, ks)])
+    degree = draw(st.sampled_from([n for n in range(1, q + 1) if Piece(D, n).dim]))
+    piece = Piece(D, degree)
+    if over_nf:
+        assume(2 * SectionRing(D).generator_bound + degree <= 8)
+    if draw(st.booleans()):
+        coeffs = [0] * piece.dim
+        coeffs[draw(st.integers(0, piece.dim - 1))] = 1
+    else:
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(piece.dim)]
+        if over_nf:
+            coeffs = [c + draw(st.integers(-1, 1)) * SQRT2 for c in coeffs]
+        assume(any(coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundTooSmallWarning)
+        model = _model_for_oracle(D, degree, None, None)
+    return model, PrimeCandidate(piece.function(Poly(coeffs)), degree)
+
+
+class TestIndecomposablePairs:
+    @given(oracle_cases())
+    @settings(max_examples=200)
+    def test_oracle_matches_all_pairs(self, case):
+        model, cand = case
+        assert primality_oracle(model, cand) == reference_oracle(model, cand)
 
 
 class TestModelForOracle:

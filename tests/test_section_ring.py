@@ -23,8 +23,10 @@ from qsection.errors import (
     PoleOrderMismatchError,
 )
 from qsection.exact_arith import NumberField, Poly
+from qsection.linalg import SpanBuilder, kernel_basis
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
+    Generator,
     HilbertSeries,
     Piece,
     SectionRing,
@@ -272,6 +274,7 @@ def carry_poly(D, a, b):
 
 Q_SQRT2 = NumberField((-2, 0, 1))
 SQRT2 = Q_SQRT2.gen()
+POINT_COORDS = sorted({F(c, b) for c in range(-3, 4) for b in (1, 2)})
 
 
 @st.composite
@@ -420,6 +423,92 @@ class TestNumberFieldCrossCheck:
         assert relations == find_relations(model_nf)
         for rel in relations:
             assert rf_sum((c, model.monomial(e)) for e, c in rel.terms).is_zero
+
+
+def reference_extend(D, bound):
+    """Generator discovery by full monomial enumeration, the reference for
+    multiplication maps: in every degree up to the bound, every monomial in
+    the generators found so far is added to the span of products."""
+    model = SectionRing(D)
+    for n in range(1, bound + 1):
+        piece = Piece(D, n)
+        model.pieces.append(piece)
+        if piece.dim == 0:
+            continue
+        span = SpanBuilder(piece.dim)
+        for expo in exponent_vectors(model.generator_degrees, n):
+            shift, coeffs, _ = model.monomial_coords(expo)
+            span.add(piece.vector(coeffs, shift))
+        for j in range(piece.dim):
+            if j not in span.pivots:
+                model.generators.append(Generator(n, len(model.generators), j, piece))
+    model.bound = bound
+    return model
+
+
+@st.composite
+def ring_cases(draw):
+    """A divisor on 2-4 points of degree at most one, and a bound.
+
+    The coefficients are k/q with q <= 6 and k != 0 of either sign; the
+    last one fixes the degree.  Over Q the bound is B* + 2N.  One draw in
+    four puts the divisor on the line over Q(sqrt 2), with a point at
+    sqrt(2) + c, q <= 3 and a bound <= 8.
+    """
+    over_nf = draw(st.integers(0, 3)) == 0
+    npts = draw(st.integers(2, 4))
+    coords = draw(st.permutations(POINT_COORDS))[:npts]
+    points = [FiniteP1(c) for c in coords]
+    if draw(st.booleans()):
+        points[-1] = P1_INFINITY
+    if over_nf:
+        points[0] = FiniteP1(SQRT2 + coords[0])
+    q = draw(st.integers(1, 3 if over_nf else 6))
+    ks = [draw(st.sampled_from([k for k in range(-q, q + 1) if k])) for _ in points[1:]]
+    ks.append(draw(st.integers(1, q)) - sum(ks))
+    assume(ks[-1])
+    entries = [(pt, F(k, q)) for pt, k in zip(points, ks)]
+    if over_nf:
+        return QDivisor(ProjectiveLine(Q_SQRT2), entries), draw(st.integers(1, 8))
+    D = d(entries)
+    return D, SectionRing(D).generator_bound + 2 * D.common_denominator()
+
+
+class TestReferenceCrossChecks:
+    """Multiplication maps, the proven bound B* and the counted kernel
+    dimension against full enumeration."""
+
+    def test_proven_bounds_of_the_worked_examples(self):
+        assert [SectionRing(D).generator_bound for D in (D_HALF, D_42, D_SCROLL, D_POLY)] == [
+            3, 85, 11, 1,
+        ]
+
+    @given(ring_cases())
+    @settings(max_examples=200)
+    def test_multiplication_maps_match_full_enumeration(self, case):
+        D, bound = case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BoundTooSmallWarning)
+            model = build_section_ring(D, bound)
+        ref = reference_extend(D, bound)
+        assert [(g.degree, g.column) for g in model.generators] == [
+            (g.degree, g.column) for g in ref.generators
+        ]
+        assert model.dims == ref.dims
+        at_bound = bound in ref.generator_degrees
+        assert model.generators_at_bound == at_bound
+        assert len(caught) == at_bound
+        if D.curve.field is None:  # the bound is B* + 2N
+            assert max(ref.generator_degrees) <= model.generator_bound
+        # the kernel dimension that find_relations counts on, in every degree
+        for n in range(1, bound + 1):
+            monos = exponent_vectors(ref.generator_degrees, n)
+            piece = ref.piece(n)
+            columns = []
+            for e in monos:
+                shift, coeffs, _ = ref.monomial_coords(e)
+                columns.append(piece.vector(coeffs, shift))
+            assert len(kernel_basis(columns, piece.dim)) == len(monos) - piece.dim
 
 
 class TestHilbertSeries:
