@@ -20,13 +20,6 @@ from .divisors import (
     InfinityP1,
     ProjectiveLine,
     QDivisor,
-    frac_support,
-    qdiv_add,
-    qdiv_degree,
-    qdiv_floor,
-    qdiv_is_effective,
-    qdiv_is_integral,
-    qdiv_scale,
 )
 from .elliptic import (
     ECPrimeVerdict,
@@ -62,8 +55,6 @@ from .exact_arith import (
     NumberField,
     NumberFieldElem,
     Poly,
-    Rational,
-    nf_invert,
     poly_divrem,
     poly_gcd,
     poly_xgcd,
@@ -71,7 +62,6 @@ from .exact_arith import (
 )
 from .p1 import (
     RationalFunctionP1,
-    div_of_function,
     divisor_of,
     principal_function,
     rr_basis,
@@ -99,7 +89,6 @@ from .section_ring import (
     build_section_ring,
     default_bound,
     find_relations,
-    graded_dim,
     graded_dimension,
     hilbert_series,
     tomari_limit,
@@ -113,7 +102,6 @@ from .semigroups import (
     rational_singularity_criterion,
     ratsing_criterion,
     semigroup_from_profile,
-    sg_from_profile,
 )
 
 __version__ = "0.1.0"

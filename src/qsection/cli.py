@@ -27,6 +27,7 @@ import sys
 import warnings
 
 from .divisors import QDivisor
+from .elliptic import ec_prime_exists
 from .errors import BoundTooSmallWarning, QSectionError, SchemaError
 from .jsonio import (
     parse_curve,
@@ -41,14 +42,15 @@ from .jsonio import (
     serialize_rational,
     serialize_scalar,
 )
+from .p1 import divisor_of
 from .prime_elements import (
     PrimeCandidate,
+    QuotientProfile,
     _model_for_oracle,
     construct_prime,
     enumerate_primes,
     necessary_check,
     primality_oracle,
-    quotient_profile,
 )
 from .section_ring import (
     HilbertSeries,
@@ -60,8 +62,7 @@ from .section_ring import (
 )
 from .semigroups import (
     NumericalSemigroup,
-    a_invariant_semigroup,
-    ratsing_criterion,
+    rational_singularity_criterion,
     semigroup_from_profile,
 )
 
@@ -303,13 +304,14 @@ def cmd_primes(args) -> dict:
         cand = PrimeCandidate(g, degree)
         model = _model_for_oracle(D, degree, bound, oracle_bound)
         oracle = primality_oracle(model, cand, oracle_bound)
+        necessary = necessary_check(model, cand)
         return {
             "action": "check",
             "curve": serialize_curve(D.curve),
             "divisor": serialize_divisor(D),
             "candidate": {"degree": degree, "function": serialize_function(g)},
-            "profile": _profile_payload(quotient_profile(model, cand)),
-            "necessary": _necessary_payload(necessary_check(model, cand)),
+            "profile": _profile_payload(necessary.profile),
+            "necessary": _necessary_payload(necessary),
             "oracle": {
                 "is_prime": oracle.is_prime,
                 "kind": oracle.kind,
@@ -330,8 +332,6 @@ def cmd_primes(args) -> dict:
         raise QSectionError(
             f"constructed candidate failed the oracle with witness {oracle.witness}"
         )
-    from .p1 import divisor_of
-
     return {
         "action": "construct",
         "curve": serialize_curve(D.curve),
@@ -350,8 +350,6 @@ def cmd_semigroup(args) -> dict:
     out: dict = {}
     scale = 1
     if "profile" in job:
-        from .prime_elements import QuotientProfile
-
         raw = job["profile"]
         if not isinstance(raw, dict):
             raise SchemaError("profile must be an object")
@@ -412,7 +410,7 @@ def cmd_semigroup(args) -> dict:
         out["x0_degree"] = x0
         out["a_invariant"] = scale * H.frobenius - x0
         if scale == 1:
-            report = ratsing_criterion(x0, H.minimal_generators)
+            report = rational_singularity_criterion(x0, H.minimal_generators)
             out["criterion"] = report.chain_holds
             out["criterion_report"] = {
                 "x0": report.x0,
@@ -434,8 +432,6 @@ def cmd_semigroup(args) -> dict:
 
 
 def cmd_ec(args) -> dict:
-    from .elliptic import ec_prime_exists
-
     job = _load_job(args.input)
     if "curve" not in job:
         raise SchemaError("missing required key 'curve'")

@@ -191,32 +191,3 @@ class QDivisor:
         if len(self.entries) == 1 and self.entries[0][1] == 1:
             return self.entries[0][0]
         return None
-
-
-# Functional spellings of the divisor methods, used by the CLI layer.
-def qdiv_floor(D: QDivisor) -> QDivisor:
-    return D.floor()
-
-
-def qdiv_degree(D: QDivisor) -> Fraction:
-    return D.degree()
-
-
-def qdiv_scale(D: QDivisor, r) -> QDivisor:
-    return D.scale(r)
-
-
-def qdiv_add(D: QDivisor, E: QDivisor) -> QDivisor:
-    return D + E
-
-
-def frac_support(D: QDivisor) -> frozenset:
-    return D.fractional_support()
-
-
-def qdiv_is_effective(D: QDivisor) -> bool:
-    return D.is_effective()
-
-
-def qdiv_is_integral(D: QDivisor) -> bool:
-    return D.is_integral()

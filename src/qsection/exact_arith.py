@@ -2,22 +2,17 @@
 
 Scalars are either `fractions.Fraction` values or elements of a small number
 field Q[y]/(m(y)) declared through `NumberField`.  All arithmetic is exact;
-no floating point enters any computation.  `NEG_INF` is a comparison marker
-for the degree of the zero polynomial, never an operand.
+no floating point enters any computation.  The zero polynomial has degree
+-1, so degree comparisons stay in the integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import ReducibleModulusError
-
-Rational = Fraction
-
-NEG_INF = float("-inf")
 
 
 def rational(value: Union[int, str, Fraction]) -> Fraction:
@@ -95,9 +90,9 @@ class Poly:
         return not self.coeffs
 
     @property
-    def degree(self):
-        """Degree as an int, or NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        """Degree, and -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def leading(self):
@@ -426,16 +421,4 @@ class NumberFieldElem:
         return self.field.element(u.coeffs)
 
 
-def nf_invert(x: NumberFieldElem) -> NumberFieldElem:
-    """Inverse in the declared number field via the extended Euclidean algorithm."""
-    return x.inverse()
-
-
 Scalar = Union[Fraction, NumberFieldElem]
-
-
-def lcm_of(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out

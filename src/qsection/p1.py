@@ -20,8 +20,6 @@ from .divisors import FiniteP1, InfinityP1, P1_INFINITY, ProjectiveLine, QDiviso
 from .errors import IrrationalZerosError
 from .exact_arith import Poly, poly_divrem, poly_gcd, scalar_inverse
 
-_W = Poly.variable()
-
 
 class RationalFunctionP1:
     """A nonzero (or zero) rational function in reduced, denominator-monic form."""
@@ -262,18 +260,7 @@ def principal_function(A: QDivisor) -> RationalFunctionP1:
         raise ValueError("principal divisors are integral")
     if A.degree() != 0:
         raise ValueError("principal divisors have degree zero")
-    numer = Poly.one()
-    denom = Poly.one()
-    for pt, c in A.entries:
-        if isinstance(pt, InfinityP1):
-            continue
-        e = int(c)
-        if e > 0:
-            numer = numer * _linear_power(pt.coord, e)
-        else:
-            denom = denom * _linear_power(pt.coord, -e)
+    # the common denominator of H0(A) carries the zeros of A (its positive
+    # part) and the mandatory factor its poles
+    numer, denom, _ = _rr_data(A)
     return RationalFunctionP1(numer, denom)
-
-
-# Name used by the rest of the package for the divisor-of-a-function map.
-div_of_function = divisor_of

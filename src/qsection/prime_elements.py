@@ -41,10 +41,10 @@ both the verdict and the witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import CurvePoint, QDivisor
+from .divisors import CurvePoint, FiniteP1, QDivisor, point_sort_key
 from .errors import (
     BoundTooSmallError,
     HypothesisViolatedError,
@@ -58,7 +58,7 @@ from .errors import (
 from .exact_arith import convolve
 from .linalg import SpanBuilder, primitive_multiple
 from .p1 import RationalFunctionP1, divisor_of, principal_function
-from .section_ring import SectionRing, build_section_ring, default_bound
+from .section_ring import SectionRing, build_section_ring
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class NecessaryReport:
     `passed` aggregates the strictly necessary conditions.  The fractional
     support flag is diagnostic: a candidate whose point meets the fractional
     support of s*D falls outside the constructive hypotheses, and in every
-    worked example such candidates fail the oracle.
+    worked example such candidates fail the oracle.  `profile` is the
+    quotient profile the conditions were read from.
     """
 
     degree: int
@@ -100,6 +101,7 @@ class NecessaryReport:
     point_divisor: QDivisor
     point: CurvePoint | None
     point_in_fractional_support: bool
+    profile: QuotientProfile
 
     @property
     def passed(self) -> bool:
@@ -204,6 +206,7 @@ def necessary_check(model: SectionRing, cand: PrimeCandidate) -> NecessaryReport
         point_divisor=point_div,
         point=point,
         point_in_fractional_support=in_frac,
+        profile=prof,
     )
 
 
@@ -349,8 +352,6 @@ def construct_prime(
 
 def _family_sample_points(D: QDivisor, excluded, count: int = 2):
     """Deterministic rational sample points avoiding the excluded set."""
-    from .divisors import FiniteP1
-
     samples = []
     v = 0
     while len(samples) < count:
@@ -404,7 +405,7 @@ def enumerate_primes(
                     degree=d,
                     s=1,
                     kind="family",
-                    excluded=tuple(sorted(excluded, key=_point_key)),
+                    excluded=tuple(sorted(excluded, key=point_sort_key)),
                     samples=tuple(samples),
                     oracle_bound=eff_bound,
                 )
@@ -438,9 +439,3 @@ def enumerate_primes(
                 )
             )
     return verdicts
-
-
-def _point_key(pt):
-    from .divisors import point_sort_key
-
-    return point_sort_key(pt)

@@ -106,7 +106,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .divisors import InfinityP1, QDivisor
+from .divisors import InfinityP1, ProjectiveLine, QDivisor
 from .errors import (
     BoundTooSmallWarning,
     FitFailedError,
@@ -158,14 +158,13 @@ class Piece:
     Two pieces are equal when they have the same divisor and degree.
     """
 
-    __slots__ = ("divisor", "degree_t", "dim", "_cap", "_floor", "_den_mand", "_basis")
+    __slots__ = ("divisor", "degree_t", "dim", "_cap", "_den_mand", "_basis")
 
     def __init__(self, D: QDivisor, n: int):
         self.divisor = D
         self.degree_t = n
         self._cap = _floor_degree(D.coefficient_pairs, n)
         self.dim = max(self._cap + 1, 0)
-        self._floor = None
         self._den_mand = None
         self._basis = None
 
@@ -176,13 +175,6 @@ class Piece:
 
     def __hash__(self):
         return hash((self.divisor, self.degree_t))
-
-    @property
-    def floor_divisor(self) -> QDivisor:
-        """floor(n*D), built on first use."""
-        if self._floor is None:
-            self._floor = self.divisor.scale(self.degree_t).floor()
-        return self._floor
 
     def _rr(self) -> tuple[Poly, Poly]:
         """Common denominator den and mandatory numerator factor mand of the basis.
@@ -330,6 +322,8 @@ class SectionRing:
     """
 
     def __init__(self, divisor: QDivisor):
+        if not isinstance(divisor.curve, ProjectiveLine):
+            raise ValueError("section-ring models are built on the projective line")
         self.divisor = divisor
         self.bound = 0
         self.pieces = [Piece(divisor, 0)]
@@ -677,6 +671,5 @@ def a_invariant(hs: HilbertSeries) -> int:
     return hs.numerator_degree() - sum(hs.denominator_exponents)
 
 
-# Short operation names used throughout the command-line layer.
-graded_dim = graded_dimension
+# Short name, kept because the acceptance suite imports it.
 build_ring = build_section_ring

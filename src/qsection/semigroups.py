@@ -23,7 +23,6 @@ __all__ = [
     "NumericalSemigroup",
     "RatSingReport",
     "semigroup_from_profile",
-    "sg_from_profile",
     "frobenius",
     "a_invariant_via_semigroup",
     "a_invariant_semigroup",
@@ -191,8 +190,6 @@ def rational_singularity_criterion(x0_degree: int, other_degrees) -> RatSingRepo
     degrees = sorted(int(x) for x in other_degrees)
     if x0_degree < 1 or not degrees or degrees[0] < 1:
         raise ValueError("degrees must be positive integers")
-    if len(degrees) < 1:
-        raise ValueError("at least one quotient generator degree is required")
     distinct = tuple(sorted(set(degrees), reverse=True))
     had_duplicates = len(distinct) != len(degrees)
     r = len(distinct)
@@ -215,7 +212,6 @@ def frobenius(H: NumericalSemigroup) -> int:
     return H.frobenius
 
 
-# Short operation names used throughout the command-line layer.
-sg_from_profile = semigroup_from_profile
+# Short names, kept because the acceptance suite imports them.
 a_invariant_semigroup = a_invariant_via_semigroup
 ratsing_criterion = rational_singularity_criterion

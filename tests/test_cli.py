@@ -8,12 +8,16 @@ emit filtering, error shapes, and byte-level determinism.
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qsection.cli import BOUND_ENV_VAR, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 HALF_INTEGER_JOB = {
     "curve": {"type": "p1"},
@@ -41,6 +45,13 @@ def write_job(tmp_path, job, name="job.json"):
     path = tmp_path / name
     path.write_text(json.dumps(job), encoding="utf-8")
     return str(path)
+
+
+def subprocess_env():
+    """The environment with the source tree first on PYTHONPATH, so that a
+    child `python -m qsection` imports this checkout."""
+    paths = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def run_cli(argv, capsys):
@@ -446,6 +457,34 @@ class TestEC:
         assert code == 3
         assert "singular" in err["error"]["message"]
 
+    WEIERSTRASS_DIVISOR_JOB = {
+        "curve": {"type": "weierstrass", "a": "0", "b": "1"},
+        "divisor": [{"point": "O", "coeff": "1/2"}],
+    }
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["ring"], {}),
+            (["primes", "enumerate"], {}),
+            (
+                ["primes", "check"],
+                {"candidate": {"degree": 2, "function": {"numer": ["1"], "denom": ["1"]}}},
+            ),
+            (["primes", "construct"], {"degree": 2, "point": {"xy": ["2", "3"]}}),
+        ],
+    )
+    def test_ring_jobs_reject_weierstrass_divisor(self, tmp_path, capsys, argv, extra):
+        # section-ring models live on the projective line only
+        path = write_job(tmp_path, {**self.WEIERSTRASS_DIVISOR_JOB, **extra})
+        code = main(argv + ["--input", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "domain" and err["type"] == "ValueError"
+        assert "projective line" in err["message"]
+
 
 class TestParserReuse:
     """main() builds its parser once per process; no call may see another's
@@ -490,6 +529,7 @@ def test_thin_enumerate_finishes(tmp_path):
         capture_output=True,
         text=True,
         timeout=10,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
@@ -519,6 +559,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "qsection", "ring", "--input", str(path), "--emit", "tomari"],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tomari"] == "1/2"

@@ -10,13 +10,6 @@ from qsection.divisors import (
     FiniteP1,
     ProjectiveLine,
     QDivisor,
-    frac_support,
-    qdiv_add,
-    qdiv_degree,
-    qdiv_floor,
-    qdiv_is_effective,
-    qdiv_is_integral,
-    qdiv_scale,
 )
 from qsection.errors import MixedCurveError
 from qsection.exact_arith import NumberField
@@ -71,43 +64,43 @@ class TestConstruction:
 class TestArithmetic:
     def test_degree(self):
         D = d({FiniteP1(0): F(1, 2), P1_INFINITY: F(1, 2), FiniteP1(1): F(-1, 2)})
-        assert qdiv_degree(D) == F(1, 2)
+        assert D.degree() == F(1, 2)
 
     def test_floor(self):
         D = d({FiniteP1(0): F(5, 7), P1_INFINITY: F(-4, 7)})
-        E = qdiv_floor(qdiv_scale(D, 8))
+        E = D.scale(8).floor()
         assert E.coeff(FiniteP1(F(0))) == 5      # floor(40/7)
         assert E.coeff(P1_INFINITY) == -5        # floor(-32/7)
 
     def test_add_sub_neg(self):
         A = d({FiniteP1(0): 1})
         B = d({FiniteP1(0): F(-1, 2), FiniteP1(1): 1})
-        assert qdiv_add(A, B) == d({FiniteP1(0): F(1, 2), FiniteP1(1): 1})
+        assert A + B == d({FiniteP1(0): F(1, 2), FiniteP1(1): 1})
         assert A - A == d({})
         assert -B == d({FiniteP1(0): F(1, 2), FiniteP1(1): -1})
 
     def test_scale_by_rational(self):
         D = d({FiniteP1(0): F(2, 3)})
-        assert qdiv_scale(D, F(3, 2)) == d({FiniteP1(0): 1})
+        assert D.scale(F(3, 2)) == d({FiniteP1(0): 1})
 
     def test_cross_curve_add_rejected(self):
         K = NumberField((1, 0, 1))
         other = QDivisor(ProjectiveLine(K), {FiniteP1(0): 1})
         with pytest.raises(MixedCurveError):
-            qdiv_add(d({FiniteP1(0): 1}), other)
+            d({FiniteP1(0): 1}) + other
 
 
 class TestPredicates:
     def test_fractional_support(self):
         D = d({FiniteP1(0): F(1, 2), FiniteP1(1): 2, P1_INFINITY: F(-1, 3)})
-        assert frac_support(D) == frozenset({FiniteP1(F(0)), P1_INFINITY})
+        assert D.fractional_support() == frozenset({FiniteP1(F(0)), P1_INFINITY})
 
     def test_integral_effective(self):
-        assert qdiv_is_integral(d({FiniteP1(0): 3, P1_INFINITY: -3}))
-        assert not qdiv_is_integral(d({FiniteP1(0): F(1, 2)}))
-        assert qdiv_is_effective(d({FiniteP1(0): F(1, 2)}))
-        assert not qdiv_is_effective(d({FiniteP1(0): F(-1, 2)}))
-        assert qdiv_is_effective(d({}))
+        assert d({FiniteP1(0): 3, P1_INFINITY: -3}).is_integral()
+        assert not d({FiniteP1(0): F(1, 2)}).is_integral()
+        assert d({FiniteP1(0): F(1, 2)}).is_effective()
+        assert not d({FiniteP1(0): F(-1, 2)}).is_effective()
+        assert d({}).is_effective()
 
     def test_common_denominator_is_lcm(self):
         D = d({FiniteP1(0): F(1, 2), FiniteP1(1): F(-1, 3), P1_INFINITY: F(1, 7)})

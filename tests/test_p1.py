@@ -14,7 +14,6 @@ from qsection.p1 import (
     RationalFunctionP1,
     _divisors_of_int,
     _rational_linear_roots,
-    div_of_function,
     divisor_of,
     principal_function,
     rr_basis,
@@ -55,7 +54,7 @@ class TestNormalization:
 class TestDivisorOf:
     def test_linear_times_linear_over_w(self):
         g = rf((2, -3, 1), (0, 1))         # (w-1)(w-2)/w
-        assert div_of_function(g) == d(
+        assert divisor_of(g) == d(
             {FiniteP1(1): 1, FiniteP1(2): 1, FiniteP1(0): -1, P1_INFINITY: -1}
         )
 

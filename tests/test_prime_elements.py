@@ -34,7 +34,7 @@ from qsection.prime_elements import (
     quotient_profile,
     veronese_transform,
 )
-from qsection.section_ring import Piece, SectionRing, build_ring
+from qsection.section_ring import Piece, SectionRing, build_section_ring
 
 P1 = ProjectiveLine()
 
@@ -260,7 +260,7 @@ class TestModelForOracle:
 
         def counting_build(D, bound=None):
             builds.append(bound)
-            return build_ring(D, bound)
+            return build_section_ring(D, bound)
 
         monkeypatch.setattr(prime_elements, "build_section_ring", counting_build)
         with warnings.catch_warnings(record=True) as caught:
@@ -272,7 +272,7 @@ class TestModelForOracle:
         assert {str(w.message) for w in caught} == {
             "generators found at the bound 3; raise the bound to certify completeness"
         }
-        fresh = build_ring(D_HALF, 8)
+        fresh = build_section_ring(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators
 

@@ -31,12 +31,10 @@ from qsection.section_ring import (
     Piece,
     SectionRing,
     a_invariant,
-    build_ring,
     build_section_ring,
     default_bound,
     exponent_vectors,
     find_relations,
-    graded_dim,
     graded_dimension,
     hilbert_series,
     tomari_limit,
@@ -64,7 +62,7 @@ class TestGradedDimension:
         assert [graded_dimension(D_HALF, n) for n in range(7)] == [1, 0, 2, 1, 3, 2, 4]
 
     def test_scroll_series(self):
-        assert [graded_dim(D_SCROLL, n) for n in range(11)] == [
+        assert [graded_dimension(D_SCROLL, n) for n in range(11)] == [
             1, 0, 0, 1, 0, 1, 1, 2, 1, 1, 2,
         ]
 
@@ -92,7 +90,6 @@ class TestGradedDimension:
         assert graded_dimension(D, n) == expected
         piece = Piece(D, n)
         assert piece.dim == expected
-        assert piece.floor_divisor == floor
 
 
 class TestPiece:
@@ -143,7 +140,7 @@ class TestExponentVectors:
 
 class TestModelHalfInteger:
     def test_generator_degrees_and_functions(self):
-        model = build_ring(D_HALF)
+        model = build_section_ring(D_HALF)
         assert [g.degree for g in model.generators] == [2, 2, 3]
         funcs = [g.func for g in model.generators]
         assert funcs[0] == rf((-1, 1), (0, 1))      # (w-1)/w
@@ -151,7 +148,7 @@ class TestModelHalfInteger:
         assert funcs[2] == rf((1, -2, 1), (0, 1))   # (w-1)^2/w
 
     def test_single_relation_in_degree_six(self):
-        model = build_ring(D_HALF)
+        model = build_section_ring(D_HALF)
         rels = find_relations(model)
         assert len(rels) == 1
         assert rels[0].degree == 6
@@ -162,21 +159,21 @@ class TestModelHalfInteger:
         )
 
     def test_hilbert_series(self):
-        hs = hilbert_series(build_ring(D_HALF))
+        hs = hilbert_series(build_section_ring(D_HALF))
         assert hs.numerator == (1, 0, 0, 0, 0, 0, -1)
         assert hs.denominator_exponents == (2, 2, 3)
 
     def test_tomari_equals_degree(self):
-        hs = hilbert_series(build_ring(D_HALF))
+        hs = hilbert_series(build_section_ring(D_HALF))
         assert tomari_limit(hs, 2) == F(1, 2) == D_HALF.degree()
 
     def test_irredundant(self):
-        assert build_ring(D_HALF).irredundant is True
+        assert build_section_ring(D_HALF).irredundant is True
 
 
 class TestModelScroll:
     def test_generators(self):
-        model = build_ring(D_SCROLL)
+        model = build_section_ring(D_SCROLL)
         assert [g.degree for g in model.generators] == [3, 5, 7, 7]
         funcs = [g.func for g in model.generators]
         assert funcs[0] == rf((1,), (0, 0, 1))          # 1/w^2
@@ -185,11 +182,11 @@ class TestModelScroll:
         assert funcs[3] == rf((1,), (0, 0, 0, 0, 1))    # 1/w^4
 
     def test_relation_degrees(self):
-        rels = find_relations(build_ring(D_SCROLL))
+        rels = find_relations(build_section_ring(D_SCROLL))
         assert [r.degree for r in rels] == [10, 12, 14]
 
     def test_hilbert_numerator_has_syzygy_terms(self):
-        hs = hilbert_series(build_ring(D_SCROLL))
+        hs = hilbert_series(build_section_ring(D_SCROLL))
         expected = [0] * 20
         expected[0] = 1
         expected[10] = expected[12] = expected[14] = -1
@@ -198,15 +195,15 @@ class TestModelScroll:
         assert hs.denominator_exponents == (3, 5, 7, 7)
 
     def test_a_invariant(self):
-        assert a_invariant(hilbert_series(build_ring(D_SCROLL))) == -3
+        assert a_invariant(hilbert_series(build_section_ring(D_SCROLL))) == -3
 
     def test_tomari(self):
-        assert tomari_limit(hilbert_series(build_ring(D_SCROLL)), 2) == F(1, 7)
+        assert tomari_limit(hilbert_series(build_section_ring(D_SCROLL)), 2) == F(1, 7)
 
 
 class TestModelPolynomialRing:
     def test_two_degree_one_generators_no_relations(self):
-        model = build_ring(D_POLY)
+        model = build_section_ring(D_POLY)
         assert [g.degree for g in model.generators] == [1, 1]
         assert find_relations(model) == []
         hs = hilbert_series(model)
@@ -231,12 +228,12 @@ class TestModelGuards:
             build_section_ring(D_HALF, 3)
 
     def test_piece_outside_bound(self):
-        model = build_ring(D_HALF)
+        model = build_section_ring(D_HALF)
         with pytest.raises(IndexError):
             model.piece(model.bound + 1)
 
     def test_monomial_memoization_consistency(self):
-        model = build_ring(D_HALF)
+        model = build_section_ring(D_HALF)
         m1 = model.monomial((1, 1, 0))
         m2 = model.monomial((1, 1, 0))
         assert m1 == m2 == model.generators[0].func * model.generators[1].func
@@ -369,7 +366,8 @@ class TestBasisFunctions:
     @settings(max_examples=200)
     def test_reduced_basis_matches_normalising_constructor(self, piece):
         # rr_basis builds each element with the gcd-normalising constructor
-        assert piece.basis == tuple(rr_basis(piece.floor_divisor))
+        floor = piece.divisor.scale(piece.degree_t).floor()
+        assert piece.basis == tuple(rr_basis(floor))
         for f in piece.basis:
             assert RationalFunctionP1(f.numer, f.denom) == f
 
@@ -529,7 +527,7 @@ class TestHilbertSeries:
             HilbertSeries((0, 0), (1,))
 
     def test_fit_failure_on_incomplete_generators(self):
-        model = build_ring(D_SCROLL)
+        model = build_section_ring(D_SCROLL)
         # drop both degree-7 generators: no polynomial numerator exists
         # over the remaining weights {3, 5}
         model.generators = model.generators[:2]
@@ -541,7 +539,7 @@ class TestHilbertSeries:
         # dropping the degree-3 generator of the half-integer model leaves
         # weights {2, 2}, and the same series happens to equal
         # (1 + t^3)/(1-t^2)^2, so the fit legitimately succeeds
-        model = build_ring(D_HALF)
+        model = build_section_ring(D_HALF)
         model.generators = model.generators[:2]
         model._hilbert = None
         hs = hilbert_series(model)
@@ -562,3 +560,66 @@ class TestTomari:
         hs = HilbertSeries.from_weights([1, 1], [2])
         with pytest.raises(PoleOrderMismatchError):
             tomari_limit(hs, 2)
+
+
+def hilbert_basis_degrees(a: F, b: F, bound: int) -> list[int]:
+    """The n-coordinates, in order, of the irreducible elements with n <= bound
+    of the monoid {(n, j) : n >= 1, -floor(n*a) <= j <= floor(n*b)} plus 0.
+
+    Brute force over the splits n = n1 + n2: the sums of the degree-n1 and
+    degree-n2 elements fill the interval of integers between the sums of
+    the interval ends, and (n, j) is irreducible when no split reaches j.
+    """
+
+    def interval(n):
+        return -math.floor(n * a), math.floor(n * b)
+
+    degrees = []
+    for n in range(1, bound + 1):
+        lo, hi = interval(n)
+        sums = []
+        for n1 in range(1, n // 2 + 1):
+            (lo1, hi1), (lo2, hi2) = interval(n1), interval(n - n1)
+            if lo1 <= hi1 and lo2 <= hi2:
+                sums.append((lo1 + lo2, hi1 + hi2))
+        degrees += [n for j in range(lo, hi + 1) if not any(s <= j <= t for s, t in sums)]
+    return degrees
+
+
+# 0, inf and a few small rationals; coefficients k/q with q <= 7 and
+# |k| <= q keep the pieces small and give divisors of small positive degree,
+# where the generator bound lies above the denominator
+TORIC_COORDS = [F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3)]
+toric_points = st.sampled_from([P1_INFINITY] + [FiniteP1(c) for c in TORIC_COORDS])
+toric_coefficients = st.sampled_from(
+    sorted({F(k, q) for q in range(1, 8) for k in range(-q, q + 1)})
+)
+
+
+class TestToricOracle:
+    """A divisor a*[x] + b*[y] on at most two points is toric: the
+    automorphism of the line taking x to 0 and y to inf turns R_n into the
+    span of w^j with -floor(n*a) <= j <= floor(n*b), so the generators of
+    the ring are the irreducible elements of that monoid."""
+
+    def model_degrees(self, D):
+        top = SectionRing(D).generator_bound
+        return build_section_ring(D, top + 1).generator_degrees, top + 1
+
+    @given(toric_points, toric_points, toric_coefficients, toric_coefficients)
+    @settings(max_examples=100)
+    def test_generators_are_the_hilbert_basis(self, x, y, a, b):
+        assume(x != y and a + b > 0)
+        degrees, bound = self.model_degrees(d({x: a, y: b}))
+        assert degrees == hilbert_basis_degrees(a, b, bound)
+
+    @given(toric_points, toric_coefficients)
+    @settings(max_examples=50)
+    def test_one_point(self, x, a):
+        assume(a > 0)
+        degrees, bound = self.model_degrees(d({x: a}))
+        assert degrees == hilbert_basis_degrees(a, F(0), bound)
+
+    def test_scroll(self):
+        degrees, bound = self.model_degrees(D_SCROLL)
+        assert degrees == hilbert_basis_degrees(F(5, 7), F(-4, 7), bound) == [3, 5, 7, 7]

@@ -8,13 +8,10 @@ from qsection.errors import GcdNotOneError, NotSemigroupLikeError
 from qsection.prime_elements import QuotientProfile
 from qsection.semigroups import (
     NumericalSemigroup,
-    a_invariant_semigroup,
     a_invariant_via_semigroup,
     frobenius,
     rational_singularity_criterion,
-    ratsing_criterion,
     semigroup_from_profile,
-    sg_from_profile,
 )
 
 
@@ -100,7 +97,7 @@ class TestFromProfile:
     def test_rescaled_quotient(self):
         # support {14, 21, 28, ...}: s = 7, rescaled semigroup <2, 3>
         prof = make_profile(6, [2, 3], 7, 98)
-        H = sg_from_profile(prof)
+        H = semigroup_from_profile(prof)
         assert H.generators == (2, 3)
 
     def test_polynomial_ring_profile(self):
@@ -128,22 +125,22 @@ class TestFromProfile:
 
 class TestAInvariant:
     def test_scroll(self):
-        assert a_invariant_semigroup(NumericalSemigroup([3, 5, 7]), 7) == -3
+        assert a_invariant_via_semigroup(NumericalSemigroup([3, 5, 7]), 7) == -3
 
     def test_deg_one(self):
-        assert a_invariant_semigroup(NumericalSemigroup([2, 3]), 1) == 0
+        assert a_invariant_via_semigroup(NumericalSemigroup([2, 3]), 1) == 0
 
     def test_polynomial_ring(self):
         assert a_invariant_via_semigroup(NumericalSemigroup([1]), 1) == -2
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
-            a_invariant_semigroup(NumericalSemigroup([2, 3]), 0)
+            a_invariant_via_semigroup(NumericalSemigroup([2, 3]), 0)
 
 
 class TestRatSingCriterion:
     def test_scroll_chain_holds(self):
-        rep = ratsing_criterion(7, [7, 5, 3])
+        rep = rational_singularity_criterion(7, [7, 5, 3])
         assert rep.chain_holds
         assert rep.degrees == (7, 5, 3)
         assert rep.r == 3
@@ -158,21 +155,21 @@ class TestRatSingCriterion:
         assert rep.a_invariant == 0
 
     def test_degenerate_single_generator(self):
-        rep = ratsing_criterion(5, [1])
+        rep = rational_singularity_criterion(5, [1])
         assert rep.chain_holds
 
     def test_duplicates_break_chain(self):
-        rep = ratsing_criterion(7, [3, 3, 2, 1])
+        rep = rational_singularity_criterion(7, [3, 3, 2, 1])
         assert rep.had_duplicates
         assert not rep.chain_holds
 
     def test_tail_must_equal_length(self):
-        rep = ratsing_criterion(9, [4, 3, 2])       # x_r = 2 but r = 3
+        rep = rational_singularity_criterion(9, [4, 3, 2])       # x_r = 2 but r = 3
         assert not rep.chain_holds
 
     def test_requires_degrees(self):
         with pytest.raises(ValueError):
-            ratsing_criterion(3, [])
+            rational_singularity_criterion(3, [])
 
 
 @st.composite
@@ -207,7 +204,7 @@ def test_chain_criterion_matches_negative_a_invariant(draw, x0):
     H = NumericalSemigroup(gens)
     mingens = H.minimal_generators
     assume(H.multiplicity == len(mingens))
-    rep = ratsing_criterion(x0, mingens)
+    rep = rational_singularity_criterion(x0, mingens)
     assert rep.chain_holds == (rep.a_invariant < 0)
     if rep.chain_holds:
         assert rep.minimal_multiplicity
