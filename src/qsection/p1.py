@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .divisors import FiniteP1, InfinityP1, P1_INFINITY, ProjectiveLine, QDivisor
 from .errors import IrrationalZerosError
-from .exact_arith import Poly, poly_divrem, poly_gcd, scalar_inverse
+from .exact_arith import Poly, convolve, poly_divrem, poly_gcd, scalar_inverse
 
 
 class RationalFunctionP1:
@@ -213,8 +213,35 @@ def divisor_of(g: RationalFunctionP1, curve: ProjectiveLine | None = None) -> QD
     return QDivisor(curve, entries)
 
 
-def _linear_power(coord, exponent: int) -> Poly:
-    return Poly([-coord, Fraction(1)]) ** exponent
+def _linear_factor(x) -> tuple[list, int]:
+    """(c, B) with w - x = (c[0] + c[1]*w) / B.
+
+    A rational x = a/b (b > 0, in lowest terms) gives the integer factor
+    b*w - a with B = b; any other scalar gives -x + w with B = 1.
+    """
+    if type(x) is Fraction:
+        return [-x.numerator, x.denominator], x.denominator
+    return [-x, 1], 1
+
+
+def _as_poly(coeffs, B: int) -> Poly:
+    """The polynomial coeffs / B."""
+    return Poly([Fraction(c, B) for c in coeffs] if B != 1 else coeffs)
+
+
+def _h0_factors(exponents) -> tuple[Poly, Poly]:
+    """(den, mand) for (finite coordinate x, exponent e) pairs at distinct
+    points: den = prod (w - x)^e over e > 0 and mand = prod (w - x)^(-e)
+    over e < 0, both monic and coprime, multiplied out over the integer
+    factors of `_linear_factor`."""
+    den, den_b, mand, mand_b = [1], 1, [1], 1
+    for x, e in exponents:
+        factor, b = _linear_factor(x)
+        for _ in range(e):
+            den, den_b = convolve(den, factor), den_b * b
+        for _ in range(-e):
+            mand, mand_b = convolve(mand, factor), mand_b * b
+    return _as_poly(den, den_b), _as_poly(mand, mand_b)
 
 
 def _rr_data(E: QDivisor) -> tuple[Poly, Poly, int]:
@@ -223,16 +250,9 @@ def _rr_data(E: QDivisor) -> tuple[Poly, Poly, int]:
         raise ValueError("Riemann-Roch bases are computed on the projective line")
     if not E.is_integral():
         raise ValueError("H0 bases require an integral divisor; take a floor first")
-    den = Poly.one()
-    mand = Poly.one()
-    for pt, c in E.entries:
-        if isinstance(pt, InfinityP1):
-            continue
-        e = int(c)
-        if e > 0:
-            den = den * _linear_power(pt.coord, e)
-        else:
-            mand = mand * _linear_power(pt.coord, -e)
+    den, mand = _h0_factors(
+        (pt.coord, int(c)) for pt, c in E.entries if not isinstance(pt, InfinityP1)
+    )
     return den, mand, int(E.degree())
 
 
@@ -261,6 +281,6 @@ def principal_function(A: QDivisor) -> RationalFunctionP1:
     if A.degree() != 0:
         raise ValueError("principal divisors have degree zero")
     # the common denominator of H0(A) carries the zeros of A (its positive
-    # part) and the mandatory factor its poles
+    # part) and the mandatory factor its poles: monic, over disjoint points
     numer, denom, _ = _rr_data(A)
-    return RationalFunctionP1(numer, denom)
+    return RationalFunctionP1.reduced(numer, denom)

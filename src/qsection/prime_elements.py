@@ -155,6 +155,11 @@ def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
     return q
 
 
+def _oracle_window(model: SectionRing, d: int) -> int:
+    """The stabilized oracle window for a candidate of degree d."""
+    return 2 * max(model.generator_degrees) + d
+
+
 def _quotient_dims(dims: list[int], d: int, upto: int) -> list[int]:
     """dim R_n - dim R_{n-d} for n = 0..upto, the quotient dimensions of a
     nonzerodivisor of degree d; a negative one raises NegativeDimError."""
@@ -233,7 +238,7 @@ def primality_oracle(
     d = cand.degree
     if not model.generators:
         raise BoundTooSmallError("model has no generators")
-    needed = 2 * max(model.generator_degrees) + d
+    needed = _oracle_window(model, d)
     eff = needed if bound is None else bound
     if eff < needed:
         raise BoundTooSmallError(
@@ -299,7 +304,7 @@ def _model_for_oracle(D: QDivisor, degree: int, bound: int | None, oracle_bound:
     model = build_section_ring(D, bound)
     if not model.generators:
         raise NotAmpleError("no generators found; the divisor supports no sections")
-    needed = 2 * max(model.generator_degrees) + degree
+    needed = _oracle_window(model, degree)
     target = max(needed, oracle_bound or 0)
     if model.bound < target:
         model.extend(target)
@@ -386,8 +391,7 @@ def enumerate_primes(
         s = N // d
         if math.gcd(d, s) != 1:
             continue
-        window = 2 * max(model.generator_degrees) + d
-        eff_bound = min(model.bound, max(window, oracle_bound or 0))
+        eff_bound = min(model.bound, max(_oracle_window(model, d), oracle_bound or 0))
         if s == 1:
             excluded = D.fractional_support()
             samples = []

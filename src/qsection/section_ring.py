@@ -34,18 +34,12 @@ are multiplied by plain convolution (`convolve`), over any scalars.
 Linear algebra sees only the lists.  Generator discovery and the primality
 oracle ask for spans, ranks, pivots and membership, and none of them
 changes when a vector is multiplied by a nonzero scalar, so they take c and
-drop B.  Relations are kernel vectors, and the kernel does see the scales:
-if column k of the evaluation map is c_k / B_k, then v is in the kernel of
-the true columns exactly when v'[k] = v[k] / B_k is in the kernel of the
-integer columns c_k, since sum_k v[k] * c_k / B_k = sum_k v'[k] * c_k.
-Column scaling keeps the pivot columns, so both matrices have the same free
-columns.  The canonical kernel vector of a free column f (1 at f, 0 at the
-other free columns) of the integer matrix, v', therefore maps to
-v[k] = v'[k] * B_k / B_f, which is 1 at f and 0 at the other free columns
-and hence the canonical kernel vector of the true matrix: the relations are
-exactly those elimination over the true columns gives.  The free column f
-of v' is its last nonzero entry, because in reduced row echelon form a row
-has no entry left of its pivot.
+drop B.  Relations are kernel vectors, and the kernel does see the scales
+of single columns, but not a scale common to all of them.  So if column k
+of the evaluation map is c_k / B_k, `find_relations` hands `kernel_basis`
+the integer columns c_k * (L / B_k), with L the lcm of the B_k: that matrix
+is L times the true one, has the same kernel, and its canonical kernel
+basis is the true one.  Over a number field every B_k is 1.
 
 The model converts to `RationalFunctionP1` only at its edges (generator
 functions, `SectionRing.monomial`, `Piece.basis`) and reads user functions
@@ -91,11 +85,19 @@ the evaluation map has kernel dimension (number of monomials) - dim R_n.
 builds the columns and their kernel only when the consequences fall short
 of that dimension; otherwise no new relation can arise in degree n.
 
-The Hilbert series is fitted numerically: with denominator exponents equal
-to the generator degrees, the numerator is the (finite) product of the
-dimension series with the denominator factors, and the fit is accepted only
-when every coefficient above the expected numerator degree vanishes on a
-guard window.
+Hilbert series.  With denominator exponents e_j equal to the generator
+degrees, the numerator is the product of the dimension series with
+prod_j (1 - t^e_j), a polynomial exactly when the generators generate the
+ring.  It is decided on a proven window.  For n >= n0 = ceil(k / deg D)
+(the scan end above), deg floor(n*D) > n*deg D - k >= 0, so
+dim R_n = n*deg D + 1 - phi(n) with phi(n) = sum_x {n*c_x} periodic mod N.
+Write prod_j (1 - t^e_j) = sum_i a_i t^i, of degree E = sum_j e_j.  For
+n >= n0 + E the numerator coefficient sum_i a_i dim R_(n-i) only reads the
+formula, and as sum_i a_i = 0 (the product vanishes at t = 1) its terms
+linear in n cancel: the coefficients from n0 + E on are periodic mod N.  So
+the numerator is a polynomial, of degree below n0 + E, exactly when the N
+coefficients from n0 + E on vanish, and `hilbert_series` raises
+FitFailedError otherwise.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ from .errors import (
 )
 from .exact_arith import Poly, convolve, poly_divrem, scalar_inverse, scalar_is_zero
 from .linalg import SpanBuilder, kernel_basis, primitive_multiple
-from .p1 import RationalFunctionP1
+from .p1 import RationalFunctionP1, _as_poly, _h0_factors, _linear_factor
 
 
 def _floor_degree(pairs, n: int) -> int:
@@ -135,18 +137,6 @@ def graded_dimension(D: QDivisor, n: int) -> int:
 def default_bound(D: QDivisor) -> int:
     """Three periods of the coefficient denominators."""
     return 3 * D.common_denominator()
-
-
-def _linear_factor(x) -> tuple[list, int]:
-    """(c, B) with w - x = (c[0] + c[1]*w) / B (see the module docstring)."""
-    if type(x) is Fraction:
-        return [-x.numerator, x.denominator], x.denominator
-    return [-x, 1], 1
-
-
-def _as_poly(coeffs, B: int) -> Poly:
-    """The polynomial coeffs / B."""
-    return Poly([Fraction(c, B) for c in coeffs] if B != 1 else coeffs)
 
 
 class Piece:
@@ -184,17 +174,12 @@ class Piece:
         the integer factors of the points.
         """
         if self._den_mand is None:
-            den, den_b, mand, mand_b = [1], 1, [1], 1
-            for pt, c in self.divisor.entries:
-                if isinstance(pt, InfinityP1):
-                    continue
-                e = self.degree_t * c.numerator // c.denominator
-                factor, b = _linear_factor(pt.coord)
-                for _ in range(e):
-                    den, den_b = convolve(den, factor), den_b * b
-                for _ in range(-e):
-                    mand, mand_b = convolve(mand, factor), mand_b * b
-            self._den_mand = (_as_poly(den, den_b), _as_poly(mand, mand_b))
+            n = self.degree_t
+            self._den_mand = _h0_factors(
+                (pt.coord, n * c.numerator // c.denominator)
+                for pt, c in self.divisor.entries
+                if not isinstance(pt, InfinityP1)
+            )
         return self._den_mand
 
     @property
@@ -358,16 +343,23 @@ class SectionRing:
         return [g.degree for g in self.generators]
 
     @cached_property
-    def generator_bound(self) -> int:
-        """B*, above which no degree holds a generator (see the module
-        docstring); raises NotAmpleError unless deg D > 0."""
+    def _stable_range(self) -> tuple[int, int]:
+        """(N, n0): N*D is integral, and n0 = ceil(k / deg D), with k the
+        number of support points, is the degree from which on R_n != 0 (see
+        the module docstring); raises NotAmpleError unless deg D > 0."""
         pairs = self.divisor.coefficient_pairs
         N = math.lcm(*(b for _, b in pairs))
         degree_N = sum(a * (N // b) for a, b in pairs)  # N * deg D
         if degree_N <= 0:
             raise NotAmpleError(f"divisor degree {self.divisor.degree()} is not positive")
-        # R_n != 0 once n * deg D >= k, the number of support points
-        scan_end = -(-len(pairs) * N // degree_N)
+        return N, -(-len(pairs) * N // degree_N)
+
+    @cached_property
+    def generator_bound(self) -> int:
+        """B*, above which no degree holds a generator (see the module
+        docstring); raises NotAmpleError unless deg D > 0."""
+        N, scan_end = self._stable_range
+        pairs = self.divisor.coefficient_pairs
         empty = [n for n in range(1, scan_end) if _floor_degree(pairs, n) < 0]
         return N + max(empty, default=0)
 
@@ -490,12 +482,12 @@ def find_relations(model: SectionRing) -> list[Relation]:
     subspace spanned by (lower-degree relation) * (monomial) is removed, and
     each surviving kernel vector, echelon-reduced and normalized to leading
     coefficient one, is recorded as a new minimal relation.  The kernel is
-    taken over the integer columns and scaled back (see the module
-    docstring).  Every consequence (relation times monomial) lies in the
-    kernel, whose dimension is the number of monomials minus dim R_n, so
-    once their span has that dimension no new relation can follow in that
-    degree: the remaining consequences, the columns and the kernel are not
-    formed.
+    taken over the integer columns brought to one common denominator (see
+    the module docstring).  Every consequence (relation times monomial) lies
+    in the kernel, whose dimension is the number of monomials minus dim R_n,
+    so once their span has that dimension no new relation can follow in
+    that degree: the remaining consequences, the columns and the kernel are
+    not formed.
     """
     if model._relations is not None:
         return model._relations
@@ -523,19 +515,15 @@ def find_relations(model: SectionRing) -> list[Relation]:
                     break
         if consequences.rank == full:
             continue
-        columns, scales = [], []
-        for e in monos:
-            shift, coeffs, B = model.monomial_coords(e)
-            columns.append(piece.vector(coeffs, shift))
-            scales.append(B)
+        coords = [model.monomial_coords(e) for e in monos]
+        L = math.lcm(*(B for _, _, B in coords))
+        columns = [
+            piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift)
+            for shift, coeffs, B in coords
+        ]
         for v in kernel_basis(columns, piece.dim):
             if consequences.rank == full:
                 break
-            free_scale = scales[max(i for i, c in enumerate(v) if c)]
-            v = [
-                c * Fraction(B, free_scale) if c and B != free_scale else c
-                for c, B in zip(v, scales)
-            ]
             res = consequences.reduce(v)
             lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
             if lead is None:
@@ -551,6 +539,25 @@ def find_relations(model: SectionRing) -> list[Relation]:
             consequences.add(res)
     model._relations = relations
     return relations
+
+
+def _mul_one_minus(coeffs, exps, size: int) -> list:
+    """The first `size` coefficients of coeffs(t) * prod_e (1 - t^e)."""
+    out = list(coeffs[:size]) + [0] * (size - len(coeffs))
+    for e in exps:
+        for k in range(size - 1, e - 1, -1):
+            out[k] -= out[k - e]
+    return out
+
+
+def _div_one_minus(coeffs, exps, size: int) -> list:
+    """The first `size` coefficients of the power series
+    coeffs(t) / prod_e (1 - t^e)."""
+    out = list(coeffs[:size]) + [0] * (size - len(coeffs))
+    for e in exps:
+        for k in range(e, size):
+            out[k] += out[k - e]
+    return out
 
 
 @dataclass(frozen=True)
@@ -576,70 +583,44 @@ class HilbertSeries:
     @classmethod
     def from_weights(cls, weights, relation_degrees=()) -> "HilbertSeries":
         """Series of a complete intersection: prod(1-t^r) over prod(1-t^w)."""
-        num = [1]
-        for r in relation_degrees:
-            r = int(r)
-            new = num + [0] * r
-            for i, c in enumerate(num):
-                new[i + r] -= c
-            num = new
+        rels = [int(r) for r in relation_degrees]
+        num = _mul_one_minus([1], rels, sum(rels) + 1)
         return cls(tuple(num), tuple(int(w) for w in weights))
 
     def expand(self, upto: int) -> list[int]:
         """Coefficients of the power-series expansion through degree upto."""
-        out = list(self.numerator) + [0] * max(0, upto + 1 - len(self.numerator))
-        out = out[: upto + 1]
-        for e in self.denominator_exponents:
-            for k in range(e, upto + 1):
-                out[k] += out[k - e]
-        return out
+        return _div_one_minus(self.numerator, self.denominator_exponents, upto + 1)
 
     def numerator_degree(self) -> int:
         return len(self.numerator) - 1
 
 
 def hilbert_series(model: SectionRing) -> HilbertSeries:
-    """Fit the numerator over denominators given by the generator degrees.
+    """The numerator over denominators given by the generator degrees.
 
     Dimensions come from the divisor's degree formula, so the window is
-    available regardless of the model bound.  The numerator may run past
-    the sum of the weights (the a-invariant of the ring can be positive),
-    so the window extends until a guard stretch of consecutive zeros
-    appears; if none does, the generator list cannot be complete and the
-    fit fails.
+    available regardless of the model bound.  The numerator coefficients
+    from n0 + sum(exps) on are periodic mod N (see the module docstring), so
+    it is a polynomial exactly when N of them vanish there; if they do not,
+    the generator list is incomplete and the fit fails.
     """
     if model._hilbert is not None:
         return model._hilbert
     exps = sorted(model.generator_degrees)
     if not exps:
         raise FitFailedError("model has no generators to build a series from")
-    total = sum(exps)
-    guard = max(10, exps[-1] + 1, model.divisor.common_denominator() + 1)
-    window = total + 3 * guard
-    dims = [graded_dimension(model.divisor, n) for n in range(window + 1)]
-    num = list(dims)
-    for e in exps:
-        for k in range(window, e - 1, -1):
-            num[k] -= num[k - e]
-    if any(num[window - guard + 1 :]):
+    N, n0 = model._stable_range
+    start = n0 + sum(exps)
+    dims = [graded_dimension(model.divisor, n) for n in range(start + N)]
+    num = _mul_one_minus(dims, exps, start + N)
+    if any(num[start:]):
         raise FitFailedError(
             "no integer numerator matches the dimension series; "
             "the generator list is incomplete or the bound is too small"
         )
-    last = max((k for k, c in enumerate(num) if c), default=0)
-    hs = HilbertSeries(tuple(num[: last + 1]), tuple(exps))
+    hs = HilbertSeries(tuple(num[:start]), tuple(exps))
     model._hilbert = hs
     return hs
-
-
-def _shrink_by_one_minus_t(num: list[int]) -> list[int]:
-    """Exact quotient by (1 - t); valid only when num(1) == 0."""
-    prefix = []
-    acc = 0
-    for c in num[:-1]:
-        acc += c
-        prefix.append(acc)
-    return prefix
 
 
 def tomari_limit(hs: HilbertSeries, dim: int) -> Fraction:
@@ -648,7 +629,7 @@ def tomari_limit(hs: HilbertSeries, dim: int) -> Fraction:
     exps = hs.denominator_exponents
     v = 0
     while sum(num) == 0:
-        num = _shrink_by_one_minus_t(num)
+        num = _div_one_minus(num, (1,), len(num) - 1)  # exact, as num(1) == 0
         v += 1
         if not num:
             raise ValueError("zero numerator")

@@ -90,30 +90,20 @@ class NumericalSemigroup:
 
     @cached_property
     def minimal_generators(self) -> tuple[int, ...]:
-        """Generators no proper subset reproduces."""
-        minimal = []
-        for g in self.generators:
-            rest = [h for h in self.generators if h != g]
-            if not rest or math.gcd(*rest) != 1:
-                reachable = _closure_contains(rest, g)
-            else:
-                reachable = g in NumericalSemigroup(rest)
-            if not reachable:
-                minimal.append(g)
-        return tuple(minimal)
+        """Generators no proper subset reproduces.
+
+        g is redundant exactly when g = m + (g - m) with both parts nonzero
+        members; taking for m a generator h < g in such a sum, exactly when
+        g - h is a member for some smaller generator h.
+        """
+        gens = self.generators
+        return tuple(
+            g for i, g in enumerate(gens) if not any(self.contains(g - h) for h in gens[:i])
+        )
 
     @property
     def embedding_dimension(self) -> int:
         return len(self.minimal_generators)
-
-
-def _closure_contains(gens: list[int], target: int) -> bool:
-    """Whether target is a nonnegative combination of gens (any gcd)."""
-    reachable = [False] * (target + 1)
-    reachable[0] = True
-    for n in range(1, target + 1):
-        reachable[n] = any(g <= n and reachable[n - g] for g in gens)
-    return reachable[target]
 
 
 def semigroup_from_profile(profile) -> NumericalSemigroup:

@@ -1,14 +1,17 @@
-"""Exact elimination: the integer path against the field path.
+"""Exact elimination: int rows against pivot-one rows, and against sympy.
 
-Rational input is eliminated over ints; the field path (pivots normalised to
-one, field operations) is the reference.  A rational matrix or span is sent
-down the field path here by giving it one number-field vector that changes
-nothing: a zero row for `kernel_basis`, a zero vector for `SpanBuilder`.
+Rational input is eliminated over ints.  The same elimination on pivot-one
+rows (the form number-field input takes) is checked against it: a rational
+matrix or span is given pivot-one rows here by adding one number-field
+vector that changes nothing, a zero row for `kernel_basis` and a zero vector
+for `SpanBuilder`.  Both share one elimination step, so sympy's `nullspace`
+and `rref` are the independent reference, over Q and over Q(sqrt 2).
 """
 
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,39 +37,45 @@ def entry(rng):
     return F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
 
 
+def nf_entry(rng):
+    """An element a + b*sqrt(2) with a and b drawn by `entry`."""
+    return NumberFieldElem(Q_SQRT2, (F(entry(rng)), F(entry(rng))))
+
+
 @st.composite
-def vector_lists(draw, max_dim=6, max_count=8):
-    """(dim, vectors): random vectors, zero vectors and rational
-    combinations of earlier vectors, so spans of low rank show up.  The
-    shape is drawn by hypothesis, the entries by a random source seeded
-    with a drawn integer."""
+def vector_lists(draw, max_dim=6, max_count=8, nf=False):
+    """(dim, vectors): random vectors, zero vectors and combinations of
+    earlier vectors, so spans of low rank show up; over Q(sqrt 2) when nf is
+    set.  The shape is drawn by hypothesis, the entries by a random source
+    seeded with a drawn integer."""
     dim = draw(st.integers(0, max_dim))
     kinds = draw(st.lists(st.sampled_from(KINDS), max_size=max_count))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    zero, scalar = (Q_SQRT2.zero(), nf_entry) if nf else (F(0), entry)
     out = []
     for kind in kinds:
         if kind == "zero" or (kind == "combination" and not out):
-            out.append([F(0)] * dim)
+            out.append([zero] * dim)
         elif kind == "random":
-            out.append([entry(rng) for _ in range(dim)])
+            out.append([scalar(rng) for _ in range(dim)])
         else:
-            vec = [F(0)] * dim
+            vec = [zero] * dim
             for v in rng.sample(out, min(len(out), rng.randint(1, 3))):
-                c = entry(rng)
+                c = scalar(rng)
                 vec = [x + c * y for x, y in zip(vec, v)]
             out.append(vec)
     return dim, out
 
 
 def field_span(dim):
-    """A SpanBuilder that has met a number-field vector: the field path."""
+    """A SpanBuilder that has met a number-field vector: pivot-one rows."""
     span = SpanBuilder(dim)
     assert not span.add([Q_SQRT2.zero()] * dim)
     return span
 
 
 def field_kernel(columns, nrows):
-    """kernel_basis down the field path: one extra zero row over Q(sqrt 2)."""
+    """kernel_basis on pivot-one rows: one extra zero row over Q(sqrt 2)."""
     return kernel_basis([list(col) + [Q_SQRT2.zero()] for col in columns], nrows + 1)
 
 
@@ -95,9 +104,9 @@ def test_span_matches_field_path(case, probe_case, data):
     assert span.rank == ref.rank
     if dim and data.draw(st.integers(0, 3)) == 0:
         # the mixed case: after the rational vectors, a Q(sqrt 2) vector
-        # moves the span to the field path with the field path's rows
+        # gives the span the pivot-one rows it would have held all along
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-        nf_vec = [NumberFieldElem(Q_SQRT2, (F(entry(rng)), F(entry(rng)))) for _ in range(dim)]
+        nf_vec = [nf_entry(rng) for _ in range(dim)]
         assert span.add(nf_vec) == ref.add(nf_vec)
         assert span.rows == ref.rows and span.pivots == ref.pivots
         probes.append(nf_vec)
@@ -111,7 +120,7 @@ def test_span_matches_field_path(case, probe_case, data):
 
 
 class TestFieldPath:
-    """Number-field input takes the field path; rational input does not."""
+    """Number-field input gets pivot-one rows; rational input keeps int rows."""
 
     def test_rational_span_keeps_integer_rows(self):
         span = SpanBuilder(3)
@@ -142,3 +151,95 @@ class TestFieldPath:
         span = SpanBuilder(0)
         assert not span.add([])
         assert span.reduce([]) == [] and span.contains([])
+
+
+def sympy_rational(x):
+    sympy = pytest.importorskip("sympy")
+    x = F(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@given(vector_lists())
+@settings(max_examples=200)
+def test_kernel_matches_sympy_nullspace(case):
+    sympy = pytest.importorskip("sympy")
+    nrows, columns = case
+    matrix = sympy.Matrix(nrows, len(columns), lambda i, k: sympy_rational(columns[k][i]))
+    expected = [[F(int(x.p), int(x.q)) for x in v] for v in matrix.nullspace()]
+    assert kernel_basis(columns, nrows) == expected
+
+
+@given(vector_lists())
+@settings(max_examples=200)
+def test_span_pivots_match_sympy_rref(case):
+    sympy = pytest.importorskip("sympy")
+    dim, vecs = case
+    span = SpanBuilder(dim)
+    for v in vecs:
+        span.add(v)
+    matrix = sympy.Matrix(len(vecs), dim, lambda i, j: sympy_rational(vecs[i][j]))
+    assert span.pivots == list(matrix.rref()[1])
+    assert span.rank == matrix.rank()
+
+
+class QSqrt2:
+    """Q(sqrt 2) in sympy: conversion and exact matrices."""
+
+    def __init__(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        self.QQ = sympy.QQ
+        self.K = sympy.QQ.algebraic_field(sympy.sqrt(2))
+        self.DomainMatrix = DomainMatrix
+        assert self.element(SQRT2) ** 2 == self.element(2)
+
+    def element(self, x):
+        """a + b*sqrt(2) as sympy's element [b, a] of K, highest power first."""
+        a, b = x.coords if isinstance(x, NumberFieldElem) else (F(x), F(0))
+        return self.K([self.QQ(b.numerator, b.denominator), self.QQ(a.numerator, a.denominator)])
+
+    def matrix(self, rows, ncols):
+        return self.DomainMatrix(
+            [[self.element(x) for x in row] for row in rows], (len(rows), ncols), self.K
+        )
+
+
+@given(vector_lists(max_dim=4, max_count=6, nf=True))
+@settings(max_examples=200, deadline=None)
+def test_number_field_kernel_matches_sympy(case):
+    """Over Q(sqrt 2) every kernel vector annihilates the columns, and the
+    kernel is sympy's, each of its vectors scaled to end in one."""
+    nrows, columns = case
+    kern = kernel_basis(columns, nrows)
+    for vec in kern:
+        for i in range(nrows):
+            assert not sum((col[i] * x for col, x in zip(columns, vec)), F(0))
+    if not (nrows and columns):
+        return
+    K = QSqrt2()
+    rows = [[col[i] for col in columns] for i in range(nrows)]
+    matrix = K.matrix(rows, len(columns))
+    assert len(kern) == len(columns) - matrix.rank()
+    expected = []
+    for v in matrix.nullspace().to_list():
+        last = next(x for x in reversed(v) if x)
+        expected.append([x / last for x in v])
+    assert [[K.element(x) for x in vec] for vec in kern] == expected
+
+
+@given(vector_lists(max_dim=4, max_count=6, nf=True))
+@settings(max_examples=100, deadline=None)
+def test_number_field_span_matches_sympy_rref(case):
+    dim, vecs = case
+    span = SpanBuilder(dim)
+    for v in vecs:
+        span.add(v)
+    if not (dim and vecs):
+        assert span.rank == 0
+        return
+    matrix = QSqrt2().matrix(vecs, dim)
+    assert span.pivots == list(matrix.rref()[1])
+    for v in vecs:
+        assert span.contains(v)
+        assert not any(span.reduce(v))

@@ -15,6 +15,22 @@ from qsection.semigroups import (
 )
 
 
+def reference_minimal_generators(gens):
+    """Minimal generators by a reachability DP per generator: g is minimal
+    unless the other generators reach it.  The reference for the sieve route
+    of `NumericalSemigroup.minimal_generators`."""
+    gens = sorted(set(gens))
+    minimal = []
+    for g in gens:
+        rest = [h for h in gens if h != g]
+        reachable = [True] + [False] * g
+        for n in range(1, g + 1):
+            reachable[n] = any(h <= n and reachable[n - h] for h in rest)
+        if not reachable[g]:
+            minimal.append(g)
+    return tuple(minimal)
+
+
 class TestNumericalSemigroup:
     def test_357(self):
         H = NumericalSemigroup([3, 5, 7])
@@ -76,6 +92,17 @@ class TestNumericalSemigroup:
         H = NumericalSemigroup(gens)
         start = H.frobenius + 1
         assert all((start + k) in H for k in range(100))
+
+    @given(
+        st.lists(st.integers(1, 80), min_size=1, max_size=8).filter(
+            lambda g: __import__("math").gcd(*g) == 1
+        )
+    )
+    @settings(max_examples=250)
+    def test_minimal_generators_match_reference(self, gens):
+        # generators far above the sieve end, duplicates and 1 are drawn too
+        H = NumericalSemigroup(gens)
+        assert H.minimal_generators == reference_minimal_generators(gens)
 
 
 def make_profile(degree, support_gens, s, bound):
