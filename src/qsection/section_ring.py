@@ -48,10 +48,11 @@ in through `Piece.coords`.
 The model truncates at a degree bound: generators are discovered degree by
 degree as the echelon complement of products of earlier generators, and
 minimal relations are read off the kernels of the evaluation maps,
-quotienting out consequences of relations found in lower degrees.  No
-Groebner machinery is involved; everything is exact linear algebra over the
-scalar field.  A model can be extended to a higher bound in place; it then
-equals a model built at that bound from scratch.
+quotienting out consequences of relations found in lower degrees.  The
+linear algebra is exact over the scalar field; a count of leading monomials
+decides which degrees need it at all (below).  A model can be extended to a
+higher bound in place; it then equals a model built at that bound from
+scratch.
 
 Proven generator bound.  Let N be the common denominator of the
 coefficients, so that N*D is integral and floor((n+N)*D) = floor(n*D) + N*D.
@@ -79,11 +80,40 @@ j < dim R_{n - d_g}.  Pivots of a span do not depend on the order in which
 its vectors arrive, so the generator columns are those of full monomial
 enumeration; the span stops growing once it fills the piece.
 
-Counted kernels.  In degree n the monomials in the generators span R_n, so
-the evaluation map has kernel dimension (number of monomials) - dim R_n.
-`find_relations` forms the consequences of earlier relations first, and
-builds the columns and their kernel only when the consequences fall short
-of that dimension; otherwise no new relation can arise in degree n.
+Leading-term count.  Let S be the polynomial ring on the generators, graded
+by their degrees, K the kernel of S -> R, and order the monomials of one
+degree as `exponent_vectors` lists them, the first largest: weighted degree,
+then lex, a monomial order.  In degree n the evaluation map is onto R_n (the
+generators generate the ring up to the bound), so dim K_n = (number of
+monomials) - dim R_n.  The pivots of an echelon basis of a subspace V of
+S_n are the leading monomials in(V), one per dimension; `find_relations`
+spans the consequences of earlier relations and then the new relations, a
+basis of K_n, so the pivots of that span are in(K)_n.  Let J be the
+monomial ideal generated by the in(K)_m learned in the degrees m < n that
+were formed.  A skipped degree m had J_m = in(K)_m already (see below), so
+J contains in(K)_m for every m < n, and J is inside in(K).  With c_n the
+number of degree-n monomials outside J (the standard monomials of S/J),
+
+    c_n = #monomials - dim J_n >= #monomials - dim in(K)_n = dim R_n.
+
+When c_n = dim R_n, J_n = in(K)_n.  J_n lies in in(I)_n, with I the ideal
+of the relations of degree below n, and I_n lies in K_n; equal leading
+monomials give equal dimensions, so I_n = K_n: degree n gains no relation
+and is skipped, with no monomials, consequences, columns or kernel.  When
+c_n > dim R_n the degree is formed as before, and its pivots outside J join
+it.  c_n is read off the Hilbert series of S/J, N(J) / prod_g (1 - t^d_g),
+whose numerator is updated per new leading monomial m by the exact sequence
+0 -> S/(J : m)(-deg m) -> S/J -> S/(J + m) -> 0:
+
+    N(J + m) = N(J) - t^deg(m) * N(J : m),
+
+J : m being generated by the g / gcd(g, m), recursively.  Truncating every
+numerator at the bound is exact: the coefficients of degree <= B of the
+series, and so of the numerator, depend only on J in degrees <= B, that is
+on its generators of degree <= B, and N(J : m) is needed only below
+B - deg m.  Where in(I)_n is larger than J_n (an S-pair that would reduce
+to a new leading monomial) the count stays above dim R_n and the degree is
+formed; no Groebner basis is kept.
 
 Hilbert series.  With denominator exponents e_j equal to the generator
 degrees, the numerator is the product of the dimension series with
@@ -475,68 +505,130 @@ def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
     return SectionRing(D).extend(bound)
 
 
+def _divides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _quotient_numerator(leads: list, degrees: list[int], size: int) -> list[int]:
+    """The first `size` coefficients of the Hilbert numerator of S/J, with S
+    graded by `degrees` and J generated by the monomials `leads` (exponent
+    tuples, none dividing another)."""
+    out = [1] + [0] * (size - 1)
+    placed: list[tuple] = []
+    for m in leads:
+        _add_lead(out, placed, m, degrees)
+    return out
+
+
+def _add_lead(numerator: list[int], leads: list, m: tuple, degrees: list[int]) -> None:
+    """Turn the truncated numerator of S/J into that of S/(J + m), in place,
+    by N(J + m) = N(J) - t^deg(m) * N(J : m), and append m to J's `leads`.
+
+    J : m is generated by the g / gcd(g, m); those of degree beyond the
+    truncation cannot reach it and are dropped, as are the non-minimal ones.
+    """
+    rest = len(numerator) - sum(a * d for a, d in zip(m, degrees))
+    if rest > 0:
+        colon = sorted(
+            (sum(a * d for a, d in zip(q, degrees)), q)
+            for q in (tuple(a - b if a > b else 0 for a, b in zip(g, m)) for g in leads)
+        )
+        minimal: list[tuple] = []
+        for deg, q in colon:
+            if deg >= rest:
+                break
+            if not any(_divides(h, q) for h in minimal):
+                minimal.append(q)
+        sub = _quotient_numerator(minimal, degrees, rest)
+        for k, c in enumerate(sub, len(numerator) - rest):
+            numerator[k] -= c
+    leads.append(m)
+
+
 def find_relations(model: SectionRing) -> list[Relation]:
     """Minimal relations among the generators, degree by degree up to the bound.
 
-    In degree n the kernel of the monomial evaluation map is computed, the
-    subspace spanned by (lower-degree relation) * (monomial) is removed, and
-    each surviving kernel vector, echelon-reduced and normalized to leading
-    coefficient one, is recorded as a new minimal relation.  The kernel is
-    taken over the integer columns brought to one common denominator (see
-    the module docstring).  Every consequence (relation times monomial) lies
-    in the kernel, whose dimension is the number of monomials minus dim R_n,
-    so once their span has that dimension no new relation can follow in
-    that degree: the remaining consequences, the columns and the kernel are
-    not formed.
+    Degree n is skipped when the leading-term count shows that it gains no
+    relation: the standard monomials of degree n of the leading monomials
+    learned in lower degrees are as many as dim R_n (see the module
+    docstring).  Otherwise the kernel of the monomial evaluation map is
+    computed, the subspace spanned by (lower-degree relation) * (monomial)
+    is removed, and each surviving kernel vector, echelon-reduced and
+    normalized to leading coefficient one, is recorded as a new minimal
+    relation.  The kernel is taken over the integer columns brought to one
+    common denominator.  Every consequence lies in the kernel, whose
+    dimension is the number of monomials minus dim R_n, so once their span
+    has that dimension the remaining consequences, the columns and the
+    kernel are not formed.  The pivots of the finished span are the leading
+    monomials of degree n, and the new ones join the count.
     """
     if model._relations is not None:
         return model._relations
     degrees = [g.degree for g in model.generators]
+    size = model.bound + 1
+    monomials: dict[int, list] = {}
+
+    def monos_of(k: int) -> list:
+        out = monomials.get(k)
+        if out is None:
+            out = monomials[k] = exponent_vectors(degrees, k)
+        return out
+
     relations: list[Relation] = []
     # (degree, terms with a primitive multiple of the coefficients) per relation
     scaled_terms: list[tuple[int, list]] = []
-    for n in range(1, model.bound + 1):
-        monos = exponent_vectors(degrees, n)
+    leads: list[tuple] = []  # minimal generators of the learned leading monomials
+    numerator = [1] + [0] * (size - 1)
+    counts = _div_one_minus(numerator, degrees, size)
+    for n in range(1, size):
         piece = model.piece(n)
-        full = len(monos) - piece.dim  # the kernel dimension
-        if full <= 0:
+        if counts[n] == piece.dim:
             continue
+        monos = monos_of(n)
+        full = len(monos) - piece.dim  # the kernel dimension
         index = {e: i for i, e in enumerate(monos)}
         consequences = SpanBuilder(len(monos))
         for rel_degree, terms in scaled_terms:
             if consequences.rank == full:
                 break
-            for mu in exponent_vectors(degrees, n - rel_degree):
+            for mu in monos_of(n - rel_degree):
                 vec = [0] * len(monos)
                 for expo, coeff in terms:
                     vec[index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
                 consequences.add(vec)
                 if consequences.rank == full:
                     break
-        if consequences.rank == full:
-            continue
-        coords = [model.monomial_coords(e) for e in monos]
-        L = math.lcm(*(B for _, _, B in coords))
-        columns = [
-            piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift)
-            for shift, coeffs, B in coords
+        if consequences.rank < full:
+            coords = [model.monomial_coords(e) for e in monos]
+            L = math.lcm(*(B for _, _, B in coords))
+            columns = [
+                piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift)
+                for shift, coeffs, B in coords
+            ]
+            for v in kernel_basis(columns, piece.dim):
+                if consequences.rank == full:
+                    break
+                res = consequences.reduce(v)
+                lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
+                if lead is None:
+                    continue
+                inv = scalar_inverse(res[lead])
+                res = [c * inv for c in res]
+                terms = tuple(
+                    (monos[i], c) for i, c in enumerate(res) if not scalar_is_zero(c)
+                )
+                relations.append(Relation(n, terms))
+                coeffs = primitive_multiple([c for _, c in terms])
+                scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
+                consequences.add(res)
+        new = [
+            monos[p] for p in consequences.pivots
+            if not any(_divides(g, monos[p]) for g in leads)
         ]
-        for v in kernel_basis(columns, piece.dim):
-            if consequences.rank == full:
-                break
-            res = consequences.reduce(v)
-            lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
-            if lead is None:
-                continue
-            inv = scalar_inverse(res[lead])
-            res = [c * inv for c in res]
-            terms = tuple(
-                (monos[i], c) for i, c in enumerate(res) if not scalar_is_zero(c)
-            )
-            relations.append(Relation(n, terms))
-            coeffs = primitive_multiple([c for _, c in terms])
-            scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
-            consequences.add(res)
+        for m in new:
+            _add_lead(numerator, leads, m, degrees)
+        if new:
+            counts = _div_one_minus(numerator, degrees, size)
     model._relations = relations
     return relations
 

@@ -552,6 +552,52 @@ def test_thin_enumerate_finishes(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "divisor, bound, degrees",
+    [
+        # the half-integer ring: 0.6 s at bound 100 and over 280 s at bound
+        # 400 while every degree spanned the consequences of its relation
+        (HALF_INTEGER_JOB["divisor"], 400, [6]),
+        (
+            [
+                {"point": "0", "coeff": "1/2"},
+                {"point": "1", "coeff": "1/3"},
+                {"point": "inf", "coeff": "-5/7"},
+            ],
+            200,
+            [13, 16, 18],
+        ),
+        # generators in degrees 1, 2, 2, 3, 3, 4, 4 and all relations by
+        # degree 8; over two minutes at bound 24 without the count
+        (
+            [
+                {"point": "1", "coeff": "-1"},
+                {"point": "2", "coeff": "-1/4"},
+                {"point": "inf", "coeff": "11/4"},
+            ],
+            24,
+            [4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 8],
+        ),
+    ],
+)
+def test_relations_far_past_the_last_one_finish(tmp_path, divisor, bound, degrees):
+    """ring --emit relations at a bound far above the last relation, where
+    the leading-term count skips every degree after it."""
+    path = write_job(tmp_path, {"divisor": divisor})
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsection", "ring", "--input", path,
+         "--bound", str(bound), "--emit", "relations"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["bound"] == bound
+    assert out["relation_degrees"] == degrees
+
+
 def test_module_entry_point(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(HALF_INTEGER_JOB), encoding="utf-8")

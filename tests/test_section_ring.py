@@ -9,6 +9,7 @@ import itertools
 import math
 import warnings
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,13 +23,14 @@ from qsection.errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from qsection.exact_arith import NumberField, Poly
-from qsection.linalg import SpanBuilder, kernel_basis
+from qsection.exact_arith import NumberField, Poly, scalar_inverse, scalar_is_zero
+from qsection.linalg import SpanBuilder, kernel_basis, primitive_multiple
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
     Generator,
     HilbertSeries,
     Piece,
+    Relation,
     SectionRing,
     a_invariant,
     build_section_ring,
@@ -507,6 +509,167 @@ class TestReferenceCrossChecks:
                 shift, coeffs, _ = ref.monomial_coords(e)
                 columns.append(piece.vector(coeffs, shift))
             assert len(kernel_basis(columns, piece.dim)) == len(monos) - piece.dim
+
+
+def reference_find_relations(model):
+    """Relations without the leading-term count, the reference for it: every
+    degree up to the bound spans the consequences of earlier relations, and
+    the columns and the kernel are formed where they fall short of the
+    counted kernel dimension."""
+    degrees = [g.degree for g in model.generators]
+    relations = []
+    scaled_terms = []
+    for n in range(1, model.bound + 1):
+        monos = exponent_vectors(degrees, n)
+        piece = model.piece(n)
+        full = len(monos) - piece.dim
+        if full <= 0:
+            continue
+        index = {e: i for i, e in enumerate(monos)}
+        consequences = SpanBuilder(len(monos))
+        for rel_degree, terms in scaled_terms:
+            if consequences.rank == full:
+                break
+            for mu in exponent_vectors(degrees, n - rel_degree):
+                vec = [0] * len(monos)
+                for expo, coeff in terms:
+                    vec[index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
+                consequences.add(vec)
+                if consequences.rank == full:
+                    break
+        if consequences.rank == full:
+            continue
+        coords = [model.monomial_coords(e) for e in monos]
+        L = math.lcm(*(B for _, _, B in coords))
+        columns = [
+            piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift)
+            for shift, coeffs, B in coords
+        ]
+        for v in kernel_basis(columns, piece.dim):
+            if consequences.rank == full:
+                break
+            res = consequences.reduce(v)
+            lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
+            if lead is None:
+                continue
+            inv = scalar_inverse(res[lead])
+            res = [c * inv for c in res]
+            terms = tuple((monos[i], c) for i, c in enumerate(res) if not scalar_is_zero(c))
+            relations.append(Relation(n, terms))
+            coeffs = primitive_multiple([c for _, c in terms])
+            scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
+            consequences.add(res)
+    return relations
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def kernel_leading_monomials(model, n):
+    """in(K)_n by brute force: the pivots of an echelon basis of the whole
+    kernel of the degree-n evaluation map, monomials in `exponent_vectors`
+    order (the first one largest).  Column scales do not move them."""
+    monos = exponent_vectors(model.generator_degrees, n)
+    piece = model.piece(n)
+    columns = []
+    for e in monos:
+        shift, coeffs, _ = model.monomial_coords(e)
+        columns.append(piece.vector(coeffs, shift))
+    span = SpanBuilder(len(monos))
+    for v in kernel_basis(columns, piece.dim):
+        span.add(v)
+    return [monos[p] for p in span.pivots]
+
+
+class TestLeadingTermCount:
+    """The relation search that skips degrees by the leading-term count,
+    against the search that forms every degree."""
+
+    @given(ring_cases())
+    @settings(max_examples=200)
+    def test_relations_match_the_reference(self, case):
+        D, bound = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            model = build_section_ring(D, bound)
+        totals = []
+
+        def recording(degrees, total):
+            totals.append(total)
+            return exponent_vectors(degrees, total)
+
+        with mock.patch("qsection.section_ring.exponent_vectors", recording):
+            relations = find_relations(model)
+        assert relations == reference_find_relations(model)
+        # each degree is enumerated at most once per call, and a degree the
+        # search forms is enumerated before any higher one: multipliers of
+        # degree n - deg r are always below the degree n being formed
+        assert len(totals) == len(set(totals))
+        formed = {t for i, t in enumerate(totals) if all(t > s for s in totals[:i])}
+        # the count of standard monomials of the leading monomials of the
+        # kernel below degree n, computed by brute force: a degree is skipped
+        # exactly when it equals dim R_n
+        learned = []  # minimal generators
+        for n in range(1, bound + 1):
+            count = sum(
+                1
+                for e in exponent_vectors(model.generator_degrees, n)
+                if not any(divides(g, e) for g in learned)
+            )
+            assert count >= model.dims[n]
+            assert (n in formed) == (count > model.dims[n]), n
+            learned += [
+                m
+                for m in kernel_leading_monomials(model, n)
+                if not any(divides(g, m) for g in learned)
+            ]
+
+
+D_FOUR = d({FiniteP1(0): F(1, 2), FiniteP1(1): F(1, 3), P1_INFINITY: F(-5, 7)})
+D_EIGHT = d({FiniteP1(0): F(3, 4), FiniteP1(1): F(2, 3), P1_INFINITY: F(-7, 12)})
+
+ORACLE_ROWS = [(D_HALF, 24, 1), (D_FOUR, 60, 3), (D_EIGHT, 16, 21)]
+
+
+class TestRelationOracles:
+    """Independent checks of the relations of the Baseline rows."""
+
+    @pytest.mark.parametrize("D, bound, _", ORACLE_ROWS)
+    def test_groebner_standard_monomials_count_the_dimensions(self, D, bound, _):
+        sympy = pytest.importorskip("sympy")
+        model = build_section_ring(D, bound)
+        xs = sympy.symbols(f"x0:{len(model.generators)}")
+        polys = [
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([x**a for x, a in zip(xs, e)])
+                for e, c in rel.terms
+            )
+            for rel in find_relations(model)
+        ]
+        # the count of standard monomials in each degree does not depend on
+        # the monomial order
+        basis = sympy.groebner(polys, *xs, order="grevlex")
+        leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+        counts = [
+            sum(
+                1
+                for e in exponent_vectors(model.generator_degrees, n)
+                if not any(divides(g, e) for g in leads)
+            )
+            for n in range(bound + 1)
+        ]
+        assert counts == model.dims
+
+    @pytest.mark.parametrize("D, bound, expected", ORACLE_ROWS)
+    def test_wahl_count_for_rational_singularities(self, D, bound, expected):
+        # (e - 1)(e - 2)/2 minimal relations for e generators (Wahl 1977)
+        # when a < 0, i.e. the singularity is rational
+        model = build_section_ring(D, bound)
+        e = len(model.generators)
+        assert a_invariant(hilbert_series(model)) < 0
+        assert len(find_relations(model)) == (e - 1) * (e - 2) // 2 == expected
 
 
 class TestHilbertSeries:
