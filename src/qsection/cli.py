@@ -42,7 +42,6 @@ from .jsonio import (
     serialize_rational,
     serialize_scalar,
 )
-from .p1 import divisor_of
 from .prime_elements import (
     PrimeCandidate,
     QuotientProfile,
@@ -89,27 +88,28 @@ def _load_job(path: str):
     return job
 
 
+def _is_count(val, least: int = 1) -> bool:
+    """Whether val is an integer of at least `least`; a JSON bool is not."""
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
+
+
 def _resolve_bound(flag_value, job, key: str = "bound"):
     """Flag beats the job file, which beats the environment default."""
     if flag_value is not None:
-        if flag_value < 1:
-            raise SchemaError(f"--{key.replace('_', '-')} must be a positive integer")
-        return flag_value
-    if key in job:
-        val = job[key]
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise SchemaError(f"{key} must be a positive integer")
-        return val
-    env = os.environ.get(BOUND_ENV_VAR)
-    if env is not None:
+        source, val = f"--{key.replace('_', '-')}", flag_value
+    elif key in job:
+        source, val = key, job[key]
+    elif (env := os.environ.get(BOUND_ENV_VAR)) is not None:
+        source = BOUND_ENV_VAR
         try:
             val = int(env)
         except ValueError:
             raise SchemaError(f"{BOUND_ENV_VAR}={env!r} is not an integer") from None
-        if val < 1:
-            raise SchemaError(f"{BOUND_ENV_VAR} must be a positive integer")
-        return val
-    return None
+    else:
+        return None
+    if not _is_count(val):
+        raise SchemaError(f"{source} must be a positive integer")
+    return val
 
 
 def _parse_emit(raw: str | None, available, default):
@@ -132,7 +132,7 @@ def _job_int(job, key: str) -> int:
     if key not in job:
         raise SchemaError(f"missing required key {key!r}")
     val = job[key]
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+    if not _is_count(val):
         raise SchemaError(f"{key} must be a positive integer")
     return val
 
@@ -155,16 +155,10 @@ def _serialize_relation(rel):
 
 def _hilbert_from_weights(job) -> HilbertSeries:
     weights = job["weights"]
-    if (
-        not isinstance(weights, list)
-        or not weights
-        or not all(isinstance(w, int) and not isinstance(w, bool) and w >= 1 for w in weights)
-    ):
+    if not isinstance(weights, list) or not weights or not all(map(_is_count, weights)):
         raise SchemaError("weights must be a nonempty list of positive integers")
     rel_degrees = job.get("relation_degrees", [])
-    if not isinstance(rel_degrees, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in rel_degrees
-    ):
+    if not isinstance(rel_degrees, list) or not all(map(_is_count, rel_degrees)):
         raise SchemaError("relation_degrees must be a list of positive integers")
     return HilbertSeries.from_weights(weights, rel_degrees)
 
@@ -188,7 +182,7 @@ def cmd_ring(args) -> dict:
             out["a_invariant"] = a_invariant(hs)
         if "tomari" in emit:
             dim = job.get("dim", 2)
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            if not _is_count(dim):
                 raise SchemaError("dim must be a positive integer")
             out["tomari"] = serialize_rational(tomari_limit(hs, dim))
         return out
@@ -278,13 +272,15 @@ def cmd_primes(args) -> dict:
     D = _require_divisor(job, curve)
     bound = _resolve_bound(args.bound, job)
     oracle_bound = _resolve_bound(args.oracle_bound, job, key="oracle_bound")
+    out = {
+        "action": args.action,
+        "curve": serialize_curve(D.curve),
+        "divisor": serialize_divisor(D),
+    }
 
     if args.action == "enumerate":
         verdicts = enumerate_primes(D, bound=bound, oracle_bound=oracle_bound)
-        return {
-            "action": "enumerate",
-            "curve": serialize_curve(D.curve),
-            "divisor": serialize_divisor(D),
+        return out | {
             "degree": serialize_rational(D.degree()),
             "degree_denominator": D.common_denominator(),
             "method": "congruence search (derived), every verdict oracle-confirmed",
@@ -302,13 +298,19 @@ def cmd_primes(args) -> dict:
             raise SchemaError("candidate needs a 'function'")
         g = parse_function(raw["function"], getattr(curve, "field", None))
         cand = PrimeCandidate(g, degree)
-        model = _model_for_oracle(D, degree, bound, oracle_bound)
-        oracle = primality_oracle(model, cand, oracle_bound)
+    else:
+        degree = _job_int(job, "degree")
+        if "point" not in job:
+            raise SchemaError("missing required key 'point'")
+        point = D.curve.lift_point(parse_point(job["point"], curve))
+        cand = construct_prime(D, degree, point)
+    model, windows = _model_for_oracle(D, (degree,), bound, oracle_bound)
+    oracle = primality_oracle(model, cand, windows[degree])
+    out["oracle_bound"] = oracle.bound
+
+    if args.action == "check":
         necessary = necessary_check(model, cand)
-        return {
-            "action": "check",
-            "curve": serialize_curve(D.curve),
-            "divisor": serialize_divisor(D),
+        return out | {
             "candidate": {"degree": degree, "function": serialize_function(g)},
             "profile": _profile_payload(necessary.profile),
             "necessary": _necessary_payload(necessary),
@@ -318,30 +320,17 @@ def cmd_primes(args) -> dict:
                 "witness": None if oracle.witness is None else list(oracle.witness),
                 "bound": oracle.bound,
             },
-            "oracle_bound": oracle.bound,
         }
-
-    degree = _job_int(job, "degree")
-    if "point" not in job:
-        raise SchemaError("missing required key 'point'")
-    point = parse_point(job["point"], curve)
-    cand = construct_prime(D, degree, point, bound=bound, oracle_bound=oracle_bound, verify=False)
-    model = _model_for_oracle(D, degree, bound, oracle_bound)
-    oracle = primality_oracle(model, cand, oracle_bound)
     if not oracle.is_prime:
         raise QSectionError(
             f"constructed candidate failed the oracle with witness {oracle.witness}"
         )
-    return {
-        "action": "construct",
-        "curve": serialize_curve(D.curve),
-        "divisor": serialize_divisor(D),
+    return out | {
         "degree": degree,
-        "point": serialize_point(D.curve.lift_point(point)),
+        "point": serialize_point(point),
         "function": serialize_function(cand.g),
-        "function_divisor": serialize_divisor(divisor_of(cand.g, D.curve)),
+        "function_divisor": serialize_divisor(cand.divisor),
         "verified": True,
-        "oracle_bound": oracle.bound,
     }
 
 
@@ -357,9 +346,7 @@ def cmd_semigroup(args) -> dict:
             if key not in raw:
                 raise SchemaError(f"profile is missing key {key!r}")
         dims = raw["dims"]
-        if not isinstance(dims, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in dims
-        ):
+        if not isinstance(dims, list) or not all(_is_count(v, 0) for v in dims):
             raise SchemaError("profile dims must be nonnegative integers")
         prof = QuotientProfile(
             degree=_job_int(raw, "degree"),
@@ -379,11 +366,7 @@ def cmd_semigroup(args) -> dict:
         out["profile_s"] = prof.s
     elif "generators" in job:
         gens = job["generators"]
-        if (
-            not isinstance(gens, list)
-            or not gens
-            or not all(isinstance(g, int) and not isinstance(g, bool) and g >= 1 for g in gens)
-        ):
+        if not isinstance(gens, list) or not gens or not all(map(_is_count, gens)):
             raise SchemaError("generators must be a nonempty list of positive integers")
         try:
             H = NumericalSemigroup(gens)
@@ -405,23 +388,15 @@ def cmd_semigroup(args) -> dict:
         }
     )
     if x0 is not None:
-        if not isinstance(x0, int) or isinstance(x0, bool) or x0 < 1:
+        if not _is_count(x0):
             raise SchemaError("x0_degree must be a positive integer")
         out["x0_degree"] = x0
         out["a_invariant"] = scale * H.frobenius - x0
         if scale == 1:
             report = rational_singularity_criterion(x0, H.minimal_generators)
             out["criterion"] = report.chain_holds
-            out["criterion_report"] = {
-                "x0": report.x0,
-                "degrees": list(report.degrees),
-                "r": report.r,
-                "chain_holds": report.chain_holds,
-                "had_duplicates": report.had_duplicates,
-                "frobenius": report.frobenius,
-                "a_invariant": report.a_invariant,
-                "minimal_multiplicity": report.minimal_multiplicity,
-            }
+            # the report's fields: plain values, which asdict would deep-copy
+            out["criterion_report"] = vars(report)
         else:
             out["criterion"] = None
             out["criterion_note"] = (
@@ -461,10 +436,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle: bool = False, emit: bool = False):
+    def command(name, handler, help, actions=(), bound=False, oracle=False, emit=False):
+        p = sub.add_parser(name, help=help)
+        if actions:
+            p.add_argument("action", choices=actions)
         p.add_argument("--input", default="-", help="job JSON file ('-' for stdin)")
         p.add_argument("--output", help="write the result here instead of stdout")
-        p.add_argument("--bound", type=int, help="truncation bound override")
+        if bound:
+            p.add_argument("--bound", type=int, help="truncation bound override")
         if oracle:
             p.add_argument(
                 "--oracle-bound",
@@ -477,26 +456,19 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--emit",
                 help="comma-separated sections: " + ",".join(EMIT_SECTIONS),
             )
+        p.set_defaults(handler=handler)
 
-    ring = sub.add_parser("ring", help="build a section-ring model")
-    common(ring, emit=True)
-    ring.set_defaults(handler=cmd_ring)
-
-    primes = sub.add_parser("primes", help="homogeneous principal primes")
-    primes.add_argument("action", choices=["enumerate", "check", "construct"])
-    common(primes, oracle=True)
-    primes.set_defaults(handler=cmd_primes)
-
-    sg = sub.add_parser("semigroup", help="numerical-semigroup report")
-    sg.add_argument("--input", default="-", help="job JSON file ('-' for stdin)")
-    sg.add_argument("--output", help="write the result here instead of stdout")
-    sg.set_defaults(handler=cmd_semigroup)
-
-    ec = sub.add_parser("ec", help="elliptic-curve verdicts")
-    ec.add_argument("action", choices=["verdict"])
-    ec.add_argument("--input", default="-", help="job JSON file ('-' for stdin)")
-    ec.add_argument("--output", help="write the result here instead of stdout")
-    ec.set_defaults(handler=cmd_ec)
+    command("ring", cmd_ring, "build a section-ring model", bound=True, emit=True)
+    command(
+        "primes",
+        cmd_primes,
+        "homogeneous principal primes",
+        ["enumerate", "check", "construct"],
+        bound=True,
+        oracle=True,
+    )
+    command("semigroup", cmd_semigroup, "numerical-semigroup report")
+    command("ec", cmd_ec, "elliptic-curve verdicts", ["verdict"])
     return parser
 
 
@@ -528,10 +500,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _emit_error(exc, "schema")
         return 3
-    except QSectionError as exc:
-        _emit_error(exc, "domain")
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (QSectionError, ValueError, ZeroDivisionError) as exc:
         _emit_error(exc, "domain")
         return 1
 

@@ -41,7 +41,7 @@ both the verdict and the witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .divisors import CurvePoint, FiniteP1, QDivisor, point_sort_key
@@ -63,10 +63,12 @@ from .section_ring import SectionRing, build_section_ring
 
 @dataclass(frozen=True)
 class PrimeCandidate:
-    """A homogeneous element g*T^degree of the model."""
+    """A homogeneous element g*T^degree of the model; `divisor` is div(g)
+    when a construction knows it."""
 
     g: RationalFunctionP1
     degree: int
+    divisor: QDivisor | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -295,37 +297,40 @@ def primality_oracle(
     return OracleResult(True, "ok", None, eff)
 
 
-def _model_for_oracle(D: QDivisor, degree: int, bound: int | None, oracle_bound: int | None):
-    """Build a model whose bound accommodates the oracle window for `degree`.
+def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int | None):
+    """A model that holds the oracle window of each degree, and those windows.
 
-    When the window exceeds the first bound the model is extended in place,
-    which gives the same model as building at the window from scratch.
+    The window of degree d is max(2 * (top generator degree) + d,
+    oracle_bound).  The model is built at `bound` and extended in place
+    (which gives the same model as building larger from scratch) until the
+    windows computed from its own generators fit.  A first bound that holds
+    no generator is extended to `generator_bound`, which holds them all; no
+    generator lies above it, so the extension stops.
     """
     model = build_section_ring(D, bound)
     if not model.generators:
-        raise NotAmpleError("no generators found; the divisor supports no sections")
-    needed = _oracle_window(model, degree)
-    target = max(needed, oracle_bound or 0)
-    if model.bound < target:
-        model.extend(target)
-    return model
+        model.extend(model.generator_bound)
+    while True:
+        windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
+        top = max(windows.values())
+        if top <= model.bound:
+            return model, windows
+        model.extend(top)
 
 
-def construct_prime(
-    D: QDivisor,
-    degree: int,
-    point: CurvePoint,
-    *,
-    bound: int | None = None,
-    oracle_bound: int | None = None,
-    verify: bool = True,
-) -> PrimeCandidate:
+def _constructed(sdD: QDivisor, d: int, s: int, point: CurvePoint) -> PrimeCandidate:
+    """The candidate of degree d whose function has divisor A = (P - sdD)/s,
+    for the point P and sdD = s*d*D, with A."""
+    A = QDivisor(sdD.curve, [(point, Fraction(1, s)), *((q, -c / s) for q, c in sdD.entries)])
+    return PrimeCandidate(principal_function(A), d, A)
+
+
+def construct_prime(D: QDivisor, degree: int, point: CurvePoint) -> PrimeCandidate:
     """Build the prime of degree d attached to a point P with d*D ~ P.
 
     Requires d*D integral of degree one and P outside the fractional support
-    of D.  The section is g = principal_function(P - d*D); when `verify` is
-    set the constructed candidate is confirmed with the oracle and the
-    quotient grading is checked to be irredundant (s = 1).
+    of D.  The section is g = principal_function(P - d*D); confirming it is
+    left to `primality_oracle`.
     """
     dD = D.scale(degree)
     if not dD.is_integral() or dD.degree() != 1:
@@ -337,22 +342,7 @@ def construct_prime(
         raise HypothesisViolatedError(
             "the point lies in the fractional support of the divisor"
         )
-    P_div = QDivisor(D.curve, {point: 1})
-    g = principal_function(P_div - dD)
-    cand = PrimeCandidate(g, degree)
-    if verify:
-        model = _model_for_oracle(D, degree, bound, oracle_bound)
-        result = primality_oracle(model, cand, oracle_bound)
-        if not result.is_prime:
-            raise QSectionError(
-                f"constructed candidate failed the oracle with witness {result.witness}"
-            )
-        prof = quotient_profile(model, cand)
-        if prof.s != 1:
-            raise QSectionError(
-                f"constructed candidate has reducible quotient grading (s={prof.s})"
-            )
-    return cand
+    return _constructed(dD, degree, 1, point)
 
 
 def _family_sample_points(D: QDivisor, excluded, count: int = 2):
@@ -382,28 +372,25 @@ def enumerate_primes(
     N = D.common_denominator()
     if D.degree() != Fraction(1, N):
         return []
-    model = _model_for_oracle(D, N, bound, oracle_bound)
+    degrees = [d for d in range(1, N + 1) if N % d == 0 and math.gcd(d, N // d) == 1]
+    model, windows = _model_for_oracle(D, degrees, bound, oracle_bound)
     if not model.irredundant:
         raise NotIrredundantError("the grading is supported on a proper subgroup")
     ND = D.scale(N)
     verdicts: list[PrimeVerdict] = []
-    for d in sorted(k for k in range(1, N + 1) if N % k == 0):
+    for d in degrees:
         s = N // d
-        if math.gcd(d, s) != 1:
-            continue
-        eff_bound = min(model.bound, max(_oracle_window(model, d), oracle_bound or 0))
         if s == 1:
             excluded = D.fractional_support()
             samples = []
             for pt in _family_sample_points(D, excluded):
-                P_div = QDivisor(D.curve, {pt: 1})
-                g = principal_function(P_div - ND)
-                result = primality_oracle(model, PrimeCandidate(g, d), eff_bound)
+                cand = _constructed(ND, d, 1, pt)
+                result = primality_oracle(model, cand, windows[d])
                 if not result.is_prime:
                     raise QSectionError(
                         f"family sample at {pt!r} failed the oracle: {result.witness}"
                     )
-                samples.append((pt, g))
+                samples.append((pt, cand.g))
             verdicts.append(
                 PrimeVerdict(
                     degree=d,
@@ -411,7 +398,7 @@ def enumerate_primes(
                     kind="family",
                     excluded=tuple(sorted(excluded, key=point_sort_key)),
                     samples=tuple(samples),
-                    oracle_bound=eff_bound,
+                    oracle_bound=windows[d],
                 )
             )
             continue
@@ -424,11 +411,8 @@ def enumerate_primes(
                 continue
             if pt in frac_sD:
                 continue
-            P_div = QDivisor(D.curve, {pt: 1})
-            A = (P_div - ND).scale(Fraction(1, s))
-            g = principal_function(A)
-            cand = PrimeCandidate(g, d)
-            result = primality_oracle(model, cand, eff_bound)
+            cand = _constructed(ND, d, s, pt)
+            result = primality_oracle(model, cand, windows[d])
             if not result.is_prime:
                 continue
             verdicts.append(
@@ -437,9 +421,9 @@ def enumerate_primes(
                     s=s,
                     kind="unique",
                     point=pt,
-                    generator=g,
-                    generator_divisor=divisor_of(g, D.curve),
-                    oracle_bound=eff_bound,
+                    generator=cand.g,
+                    generator_divisor=cand.divisor,
+                    oracle_bound=windows[d],
                 )
             )
     return verdicts

@@ -35,6 +35,23 @@ SCROLL_JOB = {
     ]
 }
 
+# deg D = 1/2, but R_1 = 0 and generators sit in degrees 2 and 3, so
+# small bounds hold none of them or miss the window 2 * 3 + 2 = 8
+WINDOW_JOB = {
+    "divisor": [
+        {"point": "0", "coeff": "-3/2"},
+        {"point": "1", "coeff": "-3/2"},
+        {"point": "inf", "coeff": "7/2"},
+    ],
+    "degree": 2,
+    "point": "2",
+    # w^3 (w - 1)^3 (w - 2), the prime construct returns for this job
+    "candidate": {
+        "degree": 2,
+        "function": {"numer": ["0", "0", "0", "2", "-7", "9", "-5", "1"]},
+    },
+}
+
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
@@ -325,6 +342,42 @@ class TestPrimes:
         code, _, err = run_cli(["primes", "construct", "--input", path], capsys)
         assert code == 1
         assert err["error"]["type"] == "NotLinearlyEquivalentError"
+
+
+    @pytest.mark.parametrize("action", ["construct", "check", "enumerate"])
+    @pytest.mark.parametrize("bound", ["1", "2"])
+    def test_small_bound_is_extended_to_the_window(self, tmp_path, capsys, action, bound):
+        path = write_job(tmp_path, WINDOW_JOB)
+        code, default, _ = run_cli(["primes", action, "--input", path], capsys)
+        assert code == 0
+        code, out, err = run_cli(["primes", action, "--input", path, "--bound", bound], capsys)
+        assert code in (0, 2), err
+        out.pop("warnings", None)
+        assert out == default
+
+    def test_construct_over_a_number_field(self, tmp_path, capsys):
+        """The constructed divisor is reported as built: its point sqrt(2)
+        is irrational, so reading it back off the function would fail."""
+        job = {
+            "curve": {"type": "p1", "field": {"min_poly": [-2, 0, 1]}},
+            "divisor": [
+                {"point": "0", "coeff": "1/2"},
+                {"point": "1", "coeff": "1/2"},
+                {"point": "inf", "coeff": "-1/2"},
+            ],
+            "degree": 2,
+            "point": {"nf": ["0", "1"]},
+        }
+        path = write_job(tmp_path, job)
+        code, out, err = run_cli(["primes", "construct", "--input", path], capsys)
+        assert code == 0, err
+        assert out["verified"] is True
+        assert out["function_divisor"] == [
+            {"coeff": "-1", "point": "0"},
+            {"coeff": "1", "point": {"nf": ["0", "1"]}},
+            {"coeff": "-1", "point": "1"},
+            {"coeff": "1", "point": "inf"},
+        ]
 
 
 class TestSemigroup:

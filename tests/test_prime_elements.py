@@ -57,7 +57,7 @@ X_GEN = PrimeCandidate(rf((-1, 1)), 2)                   # w-1
 
 @pytest.fixture(scope="module")
 def model_half():
-    return _model_for_oracle(D_HALF, 2, None, None)
+    return _model_for_oracle(D_HALF, [2], None, None)[0]
 
 
 class TestQuotientProfile:
@@ -106,7 +106,7 @@ class TestNecessaryCheck:
 
     def test_all_42_candidates_pass_gcd_and_degree(self):
         verdicts = enumerate_primes(D_42)
-        model = _model_for_oracle(D_42, 42, None, None)
+        model, _ = _model_for_oracle(D_42, [42], None, None)
         for v in verdicts:
             if v.kind == "unique":
                 cand = PrimeCandidate(v.generator, v.degree)
@@ -134,7 +134,7 @@ class TestPrimalityOracle:
     def test_dimension_witness(self):
         # t^2 in the polynomial ring k[s,t]: quotient has 2-dim pieces
         D = d({FiniteP1(0): 1})
-        model = _model_for_oracle(D, 2, None, None)
+        model, _ = _model_for_oracle(D, [2], None, None)
         cand = PrimeCandidate(rf((1,), (0, 0, 1)), 2)    # (1/w)^2 T^2
         res = primality_oracle(model, cand)
         assert not res.is_prime
@@ -242,7 +242,7 @@ def oracle_cases(draw):
         assume(any(coeffs))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmallWarning)
-        model = _model_for_oracle(D, degree, None, None)
+        model, _ = _model_for_oracle(D, [degree], None, None)
     return model, PrimeCandidate(piece.function(Poly(coeffs)), degree)
 
 
@@ -265,16 +265,28 @@ class TestModelForOracle:
         monkeypatch.setattr(prime_elements, "build_section_ring", counting_build)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BoundTooSmallWarning)
-            model = _model_for_oracle(D_HALF, 2, 3, None)
+            model, windows = _model_for_oracle(D_HALF, [2], 3, None)
         assert builds == [3]
         # window 2 * 3 + 2: generators of degree 3 sit at the first bound
-        assert model.bound == 8
+        assert model.bound == 8 and windows == {2: 8}
         assert {str(w.message) for w in caught} == {
             "generators found at the bound 3; raise the bound to certify completeness"
         }
         fresh = build_section_ring(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_extends_until_its_own_window_fits(self, bound):
+        """Bound 1 holds no generator (R_1 = 0) and is extended to
+        generator_bound = 3; bound 2 gives the window 2 * 2 + 2 = 6, whose
+        extension finds a generator in degree 3 and the window 8."""
+        D = d({FiniteP1(0): F(-3, 2), FiniteP1(1): F(-3, 2), P1_INFINITY: F(7, 2)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            model, windows = _model_for_oracle(D, [1, 2], bound, None)
+        assert model.generator_degrees == [2, 2, 3]
+        assert windows == {1: 7, 2: 8} and model.bound == 8
 
 
 class TestConstructPrime:
@@ -301,8 +313,35 @@ class TestConstructPrime:
             construct_prime(D_HALF, 2, FiniteP1(0))
 
     def test_unverified_construction_skips_oracle(self):
-        cand = construct_prime(D_HALF, 2, FiniteP1(3), verify=False)
+        cand = construct_prime(D_HALF, 2, FiniteP1(3))
         assert divisor_of(cand.g).coeff(FiniteP1(F(3))) == 1
+
+
+@st.composite
+def prime_constructions(draw):
+    """D = a/N [0] + b/N [1] + (1 - a - b)/N [inf] of degree 1/N, and a
+    point outside its support, as in the acceptance suite."""
+    N = draw(st.sampled_from([2, 3, 4]))
+    a = draw(st.integers(-3, 3))
+    b = draw(st.integers(-3, 3))
+    D = d({FiniteP1(0): F(a, N), FiniteP1(1): F(b, N), P1_INFINITY: F(1 - a - b, N)})
+    return D, N, FiniteP1(F(draw(st.integers(2, 5))))
+
+
+class TestConstructedPrimes:
+    @given(prime_constructions())
+    @settings(max_examples=200)
+    def test_confirmed_constructions_have_an_irredundant_quotient(self, drawn):
+        """An oracle-confirmed construction has quotient grading s = 1, and
+        its reported divisor is the divisor of its function."""
+        D, N, point = drawn
+        cand = construct_prime(D, N, point)
+        assert cand.divisor == divisor_of(cand.g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            model, windows = _model_for_oracle(D, [N], None, None)
+        assume(primality_oracle(model, cand, windows[N]).is_prime)
+        assert quotient_profile(model, cand).s == 1
 
 
 class TestEnumerate:
