@@ -94,12 +94,13 @@ def _is_count(val, least: int = 1) -> bool:
 
 
 def _resolve_bound(flag_value, job, key: str = "bound"):
-    """Flag beats the job file, which beats the environment default."""
+    """Flag beats the job file, which beats the environment default; the
+    environment sets the truncation bound only."""
     if flag_value is not None:
         source, val = f"--{key.replace('_', '-')}", flag_value
     elif key in job:
         source, val = key, job[key]
-    elif (env := os.environ.get(BOUND_ENV_VAR)) is not None:
+    elif key == "bound" and (env := os.environ.get(BOUND_ENV_VAR)) is not None:
         source = BOUND_ENV_VAR
         try:
             val = int(env)
@@ -168,6 +169,7 @@ def cmd_ring(args) -> dict:
     if "weights" in job:
         emit = _parse_emit(args.emit, WEIGHTS_SECTIONS, WEIGHTS_SECTIONS)
         hs = _hilbert_from_weights(job)
+        series, dim = (lambda: hs), job.get("dim", 2)
         out = {
             "mode": "weights",
             "weights": sorted(job["weights"]),
@@ -176,49 +178,42 @@ def cmd_ring(args) -> dict:
         if "dims" in emit:
             window = sum(hs.denominator_exponents) + 10
             out["dims"] = hs.expand(window)
+    else:
+        emit = _parse_emit(args.emit, EMIT_SECTIONS, EMIT_SECTIONS)
+        curve = parse_curve(job.get("curve"))
+        D = _require_divisor(job, curve)
+        model = build_section_ring(D, _resolve_bound(args.bound, job))
+        series, dim = functools.partial(hilbert_series, model), 2
+        out = {
+            "mode": "divisor",
+            "curve": serialize_curve(model.divisor.curve),
+            "divisor": serialize_divisor(model.divisor),
+            "bound": model.bound,
+            "degree": serialize_rational(model.divisor.degree()),
+            "irredundant": model.irredundant,
+        }
+        if "dims" in emit:
+            out["dims"] = list(model.dims)
+        if "generators" in emit:
+            out["generator_degrees"] = [g.degree for g in model.generators]
+            out["generators"] = [
+                {"degree": g.degree, "function": serialize_function(g.func)}
+                for g in model.generators
+            ]
+        if "relations" in emit:
+            rels = find_relations(model)
+            out["relation_degrees"] = [r.degree for r in rels]
+            out["relations"] = [_serialize_relation(r) for r in rels]
+    if "hilbert" in emit or "a-invariant" in emit or "tomari" in emit:
+        hs = series()
         if "hilbert" in emit:
             out["hilbert"] = serialize_hilbert(hs)
         if "a-invariant" in emit:
             out["a_invariant"] = a_invariant(hs)
         if "tomari" in emit:
-            dim = job.get("dim", 2)
             if not _is_count(dim):
                 raise SchemaError("dim must be a positive integer")
             out["tomari"] = serialize_rational(tomari_limit(hs, dim))
-        return out
-
-    emit = _parse_emit(args.emit, EMIT_SECTIONS, EMIT_SECTIONS)
-    curve = parse_curve(job.get("curve"))
-    D = _require_divisor(job, curve)
-    model = build_section_ring(D, _resolve_bound(args.bound, job))
-    out = {
-        "mode": "divisor",
-        "curve": serialize_curve(model.divisor.curve),
-        "divisor": serialize_divisor(model.divisor),
-        "bound": model.bound,
-        "degree": serialize_rational(model.divisor.degree()),
-        "irredundant": model.irredundant,
-    }
-    if "dims" in emit:
-        out["dims"] = list(model.dims)
-    if "generators" in emit:
-        out["generator_degrees"] = [g.degree for g in model.generators]
-        out["generators"] = [
-            {"degree": g.degree, "function": serialize_function(g.func)}
-            for g in model.generators
-        ]
-    if "relations" in emit:
-        rels = find_relations(model)
-        out["relation_degrees"] = [r.degree for r in rels]
-        out["relations"] = [_serialize_relation(r) for r in rels]
-    if "hilbert" in emit or "a-invariant" in emit or "tomari" in emit:
-        hs = hilbert_series(model)
-        if "hilbert" in emit:
-            out["hilbert"] = serialize_hilbert(hs)
-        if "a-invariant" in emit:
-            out["a_invariant"] = a_invariant(hs)
-        if "tomari" in emit:
-            out["tomari"] = serialize_rational(tomari_limit(hs, 2))
     return out
 
 

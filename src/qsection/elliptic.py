@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .divisors import EC_ORIGIN, CurvePoint, ECAffine, ECOrigin, QDivisor, _lift
 from .errors import MixedCurveError
-from .exact_arith import NumberField, Scalar, scalar_div, scalar_is_zero
+from .exact_arith import NumberField, Scalar
 
 __all__ = [
     "WeierstrassCurve",
@@ -40,7 +40,7 @@ class WeierstrassCurve:
         a = _lift(a, field)
         b = _lift(b, field)
         disc = (4 * a * a * a + 27 * b * b) * (-16)
-        if scalar_is_zero(disc):
+        if not disc:
             raise ValueError("singular curve: the discriminant vanishes")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -93,11 +93,11 @@ def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     if isinstance(q, ECOrigin):
         return p
     if p.x == q.x:
-        if scalar_is_zero(p.y + q.y):
+        if p.y == -q.y:
             return EC_ORIGIN
-        slope = scalar_div(3 * p.x * p.x + curve.a, 2 * p.y)
+        slope = (3 * p.x * p.x + curve.a) / (2 * p.y)
     else:
-        slope = scalar_div(q.y - p.y, q.x - p.x)
+        slope = (q.y - p.y) / (q.x - p.x)
     x3 = slope * slope - p.x - q.x
     y3 = slope * (p.x - x3) - p.y
     return ECAffine(x3, y3)

@@ -1,9 +1,13 @@
 """Exact scalar and polynomial arithmetic.
 
 Scalars are either `fractions.Fraction` values or elements of a small number
-field Q[y]/(m(y)) declared through `NumberField`.  All arithmetic is exact;
-no floating point enters any computation.  The zero polynomial has degree
--1, so degree comparisons stay in the integers.
+field Q[y]/(m(y)) declared through `NumberField`.  Both implement the same
+operators (+, -, *, /, ==, truth value), and code operates on a scalar
+through them.  `Poly` turns int coefficients into Fractions; where a plain
+int may meet a division, write `Fraction(1) / x`, since `1 / x` would give
+a float.  All arithmetic is exact; no floating point enters any
+computation.  The zero polynomial has degree -1, so degree comparisons stay
+in the integers.
 """
 
 from __future__ import annotations
@@ -26,24 +30,6 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, (Fraction, int)):
-        return x == 0
-    return x.is_zero()
-
-
-def scalar_inverse(x):
-    if isinstance(x, NumberFieldElem):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
-
-
-def scalar_div(a, b):
-    if isinstance(a, NumberFieldElem) or isinstance(b, NumberFieldElem):
-        return a * scalar_inverse(b)
-    return Fraction(a) / Fraction(b)
-
-
 def scalar_sort_key(x):
     """Total order on scalars, used only for canonical serialization order."""
     if isinstance(x, NumberFieldElem):
@@ -51,11 +37,16 @@ def scalar_sort_key(x):
     return (0, Fraction(x))
 
 
-def as_fraction(x) -> Fraction | None:
-    """The Fraction value of a scalar, or None if it is irrational."""
-    if isinstance(x, NumberFieldElem):
-        return x.as_fraction() if x.is_rational() else None
-    return Fraction(x)
+def _power(base, n: int, one):
+    """base**n for an int n >= 0, by square-and-multiply from `one`."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 class Poly:
@@ -65,7 +56,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-        while cs and scalar_is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -80,10 +71,6 @@ class Poly:
     @classmethod
     def variable(cls) -> "Poly":
         return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
 
     @property
     def is_zero(self) -> bool:
@@ -139,30 +126,14 @@ class Poly:
         return self.scale(other)
 
     def scale(self, c):
-        if scalar_is_zero(c):
+        if not c:
             return Poly.zero()
         return Poly(tuple(co * c for co in self.coeffs))
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other):
-        return poly_divrem(self, other)
-
-    def __floordiv__(self, other):
-        return poly_divrem(self, other)[0]
-
-    def __mod__(self, other):
-        return poly_divrem(self, other)[1]
+        return _power(self, n, Poly.one())
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by the k-th power of the variable."""
@@ -176,7 +147,7 @@ class Poly:
         lead = self.leading
         if lead == 1:
             return self
-        inv = scalar_inverse(lead)
+        inv = 1 / lead
         return Poly(tuple(c * inv for c in self.coeffs))
 
     def evaluate(self, x):
@@ -184,18 +155,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def all_rational(self) -> bool:
-        return all(as_fraction(c) is not None for c in self.coeffs)
-
-    def rational_coeffs(self) -> tuple[Fraction, ...]:
-        out = []
-        for c in self.coeffs:
-            q = as_fraction(c)
-            if q is None:
-                raise ValueError("polynomial has irrational coefficients")
-            out.append(q)
-        return tuple(out)
 
 
 def convolve(a, b) -> list:
@@ -220,13 +179,13 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero or a.degree < b.degree:
         return Poly.zero(), a
-    lead_inv = scalar_inverse(b.leading)
+    lead_inv = 1 / b.leading
     rem = list(a.coeffs)
     db = len(b.coeffs) - 1
     q = [Fraction(0)] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
-        if scalar_is_zero(c):
+        if not c:
             continue
         factor = c * lead_inv
         q[i - db] = factor
@@ -256,7 +215,7 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    inv = scalar_inverse(r0.leading)
+    inv = 1 / r0.leading
     return r0.scale(inv), u0.scale(inv), v0.scale(inv)
 
 
@@ -311,9 +270,6 @@ class NumberFieldElem:
     field: NumberField
     coords: tuple[Fraction, ...]
 
-    def _rep(self) -> Poly:
-        return Poly(self.coords)
-
     def _coerce(self, other):
         if isinstance(other, NumberFieldElem):
             if other.field != self.field:
@@ -322,9 +278,6 @@ class NumberFieldElem:
         if isinstance(other, (int, Fraction)):
             return self.field.from_rational(other)
         return None
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -335,7 +288,7 @@ class NumberFieldElem:
         return self.coords[0]
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coords)
 
     def __eq__(self, other):
         if isinstance(other, NumberFieldElem):
@@ -381,8 +334,7 @@ class NumberFieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = poly_divrem(self._rep() * o._rep(), self.field.modulus())[1]
-        return self.field.element(prod.coeffs)
+        return self.field.element(convolve(self.coords, o.coords))
 
     __rmul__ = __mul__
 
@@ -401,19 +353,12 @@ class NumberFieldElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, self.field.one())
 
     def inverse(self) -> "NumberFieldElem":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = poly_xgcd(self._rep(), self.field.modulus())
+        g, u, _ = poly_xgcd(Poly(self.coords), self.field.modulus())
         if g.degree != 0:
             raise ReducibleModulusError(
                 f"declared modulus shares the factor {g!r} with {self!r}"

@@ -51,8 +51,6 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 
-from .exact_arith import scalar_inverse
-
 _ZERO = Fraction(0)
 _INT = {int}
 
@@ -110,7 +108,7 @@ def _step(u: list, row: list, p: int) -> tuple[list, int]:
 def _stored(u: list, p: int, ints: bool) -> list:
     """u in stored form: primitive ints with u[p] > 0, or u[p] one."""
     if not ints:
-        inv = scalar_inverse(u[p])
+        inv = Fraction(1) / u[p]
         return [x * inv if x else x for x in u]
     g = gcd(*u)
     if u[p] < 0:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .divisors import FiniteP1, InfinityP1, P1_INFINITY, ProjectiveLine, QDivisor
 from .errors import IrrationalZerosError
-from .exact_arith import Poly, convolve, poly_divrem, poly_gcd, scalar_inverse
+from .exact_arith import Poly, convolve, poly_divrem, poly_gcd
 
 
 class RationalFunctionP1:
@@ -38,7 +38,7 @@ class RationalFunctionP1:
             if g.degree > 0:
                 numer = poly_divrem(numer, g)[0]
                 denom = poly_divrem(denom, g)[0]
-            inv = scalar_inverse(denom.leading)
+            inv = 1 / denom.leading
             numer = numer.scale(inv)
             denom = denom.scale(inv)
         object.__setattr__(self, "numer", numer)
@@ -52,14 +52,6 @@ class RationalFunctionP1:
         object.__setattr__(out, "numer", numer)
         object.__setattr__(out, "denom", denom)
         return out
-
-    @classmethod
-    def one(cls) -> "RationalFunctionP1":
-        return cls(Poly.one())
-
-    @classmethod
-    def constant(cls, c) -> "RationalFunctionP1":
-        return cls(Poly.constant(c))
 
     @property
     def is_zero(self) -> bool:
@@ -124,11 +116,12 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     """All rational roots with multiplicity, plus the unfactored residual."""
     if p.is_zero:
         raise ValueError("root extraction from the zero polynomial")
-    if not p.all_rational():
+    try:
+        coeffs = [c if type(c) is Fraction else c.as_fraction() for c in p.coeffs]
+    except ValueError:
         raise IrrationalZerosError(
             "root extraction is only supported over rational coefficients"
-        )
-    coeffs = list(p.rational_coeffs())
+        ) from None
     roots: dict[Fraction, int] = {}
     # peel off the root at zero first
     zero_mult = 0
@@ -244,6 +237,19 @@ def _h0_factors(exponents) -> tuple[Poly, Poly]:
     return _as_poly(den, den_b), _as_poly(mand, mand_b)
 
 
+def _h0_element(den: Poly, mand: Poly, j: int) -> RationalFunctionP1:
+    """The basis element w^j * mand / den, in lowest terms without a gcd.
+
+    den and mand are products of (w - x) over disjoint sets of points, so
+    the only common factor of w^j * mand and den is w^k, with k the smaller
+    of j and the order of den at 0; den / w^k is still monic.
+    """
+    k = 0
+    while k < j and not den.coeffs[k]:
+        k += 1
+    return RationalFunctionP1.reduced(mand.shifted(j - k), Poly(den.coeffs[k:]) if k else den)
+
+
 def _rr_data(E: QDivisor) -> tuple[Poly, Poly, int]:
     """Common denominator, mandatory numerator factor, and top shift for H0(E)."""
     if not isinstance(E.curve, ProjectiveLine):
@@ -266,7 +272,7 @@ def rr_basis(E: QDivisor) -> list[RationalFunctionP1]:
     den, mand, cap = _rr_data(E)
     if cap < 0:
         return []
-    return [RationalFunctionP1(mand.shifted(j), den) for j in range(cap + 1)]
+    return [_h0_element(den, mand, j) for j in range(cap + 1)]
 
 
 def principal_function(A: QDivisor) -> RationalFunctionP1:

@@ -41,12 +41,14 @@ both the verdict and the witness.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .divisors import CurvePoint, FiniteP1, QDivisor, point_sort_key
 from .errors import (
     BoundTooSmallError,
+    BoundTooSmallWarning,
     HypothesisViolatedError,
     NegativeDimError,
     NotAmpleError,
@@ -305,17 +307,22 @@ def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int
     (which gives the same model as building larger from scratch) until the
     windows computed from its own generators fit.  A first bound that holds
     no generator is extended to `generator_bound`, which holds them all; no
-    generator lies above it, so the extension stops.
+    generator lies above it, so the extension stops.  The final bound is at
+    least every window, and every window exceeds the top generator degree,
+    so no generator sits at the final bound: the bound warnings of the
+    intermediate builds do not describe the model returned and are ignored.
     """
-    model = build_section_ring(D, bound)
-    if not model.generators:
-        model.extend(model.generator_bound)
-    while True:
-        windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
-        top = max(windows.values())
-        if top <= model.bound:
-            return model, windows
-        model.extend(top)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundTooSmallWarning)
+        model = build_section_ring(D, bound)
+        if not model.generators:
+            model.extend(model.generator_bound)
+        while True:
+            windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
+            top = max(windows.values())
+            if top <= model.bound:
+                return model, windows
+            model.extend(top)
 
 
 def _constructed(sdD: QDivisor, d: int, s: int, point: CurvePoint) -> PrimeCandidate:

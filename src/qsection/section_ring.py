@@ -146,9 +146,9 @@ from .errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from .exact_arith import Poly, convolve, poly_divrem, scalar_inverse, scalar_is_zero
+from .exact_arith import Poly, convolve, poly_divrem
 from .linalg import SpanBuilder, kernel_basis, primitive_multiple
-from .p1 import RationalFunctionP1, _as_poly, _h0_factors, _linear_factor
+from .p1 import RationalFunctionP1, _as_poly, _h0_element, _h0_factors, _linear_factor
 
 
 def _floor_degree(pairs, n: int) -> int:
@@ -225,19 +225,8 @@ class Piece:
         return RationalFunctionP1(q * mand, den)
 
     def unit_function(self, j: int) -> RationalFunctionP1:
-        """The basis element w^j * mand / den, in lowest terms without a gcd.
-
-        den and mand are products of (w - x) over disjoint sets of points, so
-        the only common factor of w^j * mand and den is w^k, with k the
-        smaller of j and the order of den at 0; den / w^k is still monic.
-        """
-        den, mand = self._rr()
-        k = 0
-        while k < j and not den.coeffs[k]:
-            k += 1
-        return RationalFunctionP1.reduced(
-            mand.shifted(j - k), Poly(den.coeffs[k:]) if k else den
-        )
+        """The basis element w^j * mand / den of `rr_basis`."""
+        return _h0_element(*self._rr(), j)
 
     def vector(self, coeffs, shift: int = 0) -> list:
         """Coordinate vector of the section with coordinate polynomial
@@ -452,8 +441,8 @@ class SectionRing:
         inside the piece; basis elements at the non-pivot columns (left to
         right) become new generators.  Higher degrees hold no generator and
         get their piece only.  A warning is issued when a generator shows up
-        exactly at the bound, since then nothing certifies that higher
-        degrees hold no further generators.
+        exactly at a bound below `generator_bound`, since then nothing
+        certifies that higher degrees hold no further generators.
         """
         if bound < self.bound:
             raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
@@ -482,7 +471,7 @@ class SectionRing:
         support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
         self.irredundant = math.gcd(*support) == 1 if support else False
         self.generators_at_bound = any(g.degree == bound for g in self.generators)
-        if self.generators_at_bound:
+        if self.generators_at_bound and bound < top:
             warnings.warn(
                 f"generators found at the bound {bound}; raise the bound to certify completeness",
                 BoundTooSmallWarning,
@@ -609,14 +598,12 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 if consequences.rank == full:
                     break
                 res = consequences.reduce(v)
-                lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
+                lead = next((i for i, c in enumerate(res) if c), None)
                 if lead is None:
                     continue
-                inv = scalar_inverse(res[lead])
+                inv = Fraction(1) / res[lead]
                 res = [c * inv for c in res]
-                terms = tuple(
-                    (monos[i], c) for i, c in enumerate(res) if not scalar_is_zero(c)
-                )
+                terms = tuple((monos[i], c) for i, c in enumerate(res) if c)
                 relations.append(Relation(n, terms))
                 coeffs = primitive_multiple([c for _, c in terms])
                 scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))

@@ -124,12 +124,23 @@ class TestRingDivisorMode:
     def test_small_bound_warns_with_exit_2(self, tmp_path, capsys):
         path = write_job(tmp_path, HALF_INTEGER_JOB)
         code, out, _ = run_cli(
-            ["ring", "--input", path, "--bound", "3", "--emit", "dims,generators"],
+            ["ring", "--input", path, "--bound", "2", "--emit", "dims,generators"],
             capsys,
         )
         assert code == 2
-        assert out["bound"] == 3
+        assert out["bound"] == 2
         assert out["warnings"] and "bound" in out["warnings"][0]
+
+    def test_generators_at_the_proven_bound_do_not_warn(self, tmp_path, capsys):
+        """Bound 3 is B* of the job: a generator sits there, but none lies
+        above it, so the answer is complete."""
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        code, out, _ = run_cli(
+            ["ring", "--input", path, "--bound", "3", "--emit", "dims,generators"],
+            capsys,
+        )
+        assert code == 0
+        assert out["generator_degrees"] == [2, 2, 3] and "warnings" not in out
 
     def test_bound_priority_flag_job_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(BOUND_ENV_VAR, "9")
@@ -146,6 +157,16 @@ class TestRingDivisorMode:
             ["ring", "--input", job_path, "--emit", "dims", "--bound", "11"], capsys
         )
         assert code == 0 and out["bound"] == 11
+
+    def test_env_sets_the_truncation_bound_only(self, capsys, monkeypatch):
+        """The oracle window of the job stays its own (8) when the
+        environment raises the truncation bound to 20."""
+        monkeypatch.setenv(BOUND_ENV_VAR, "20")
+        path = str(Path(SRC).parent / "scripts" / "jobs" / "half_integer_check_ok.json")
+        code, out, _ = run_cli(["primes", "check", "--input", path], capsys)
+        assert code == 0
+        assert out["oracle_bound"] == out["oracle"]["bound"] == 8
+        assert out["profile"]["bound"] == 20
 
     def test_bad_env_bound(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(BOUND_ENV_VAR, "soon")
@@ -351,8 +372,7 @@ class TestPrimes:
         code, default, _ = run_cli(["primes", action, "--input", path], capsys)
         assert code == 0
         code, out, err = run_cli(["primes", action, "--input", path, "--bound", bound], capsys)
-        assert code in (0, 2), err
-        out.pop("warnings", None)
+        assert code == 0, err
         assert out == default
 
     def test_construct_over_a_number_field(self, tmp_path, capsys):

@@ -119,6 +119,62 @@ def test_span_matches_field_path(case, probe_case, data):
         assert span.contains(v)
 
 
+EXACT_TYPES = (int, F, NumberFieldElem)
+
+
+def mixed_entry(rng, rational):
+    """An int (zero included), a Fraction or, unless `rational` is set, an
+    element of Q(sqrt 2)."""
+    kind = rng.randrange(2 if rational else 3)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+    return nf_entry(rng)
+
+
+@st.composite
+def mixed_vector_lists(draw, max_dim=4, max_count=6):
+    """(dim, vectors) whose entries mix ints, Fractions and elements of
+    Q(sqrt 2); some vectors are rational, and some are combinations of
+    earlier ones, so spans move from int rows to pivot-one rows and
+    kernels are not empty."""
+    dim = draw(st.integers(0, max_dim))
+    kinds = draw(st.lists(st.sampled_from(("rational", "mixed", "combination")), max_size=max_count))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for kind in kinds:
+        if kind == "combination" and out:
+            vec = [0] * dim
+            for v in rng.sample(out, min(len(out), 2)):
+                c = mixed_entry(rng, False)
+                vec = [x + c * y for x, y in zip(vec, v)]
+            out.append(vec)
+        else:
+            out.append([mixed_entry(rng, kind == "rational") for _ in range(dim)])
+    return dim, out
+
+
+def assert_exact(vectors):
+    for vec in vectors:
+        assert all(type(x) in EXACT_TYPES for x in vec), vec
+
+
+@given(mixed_vector_lists())
+@settings(max_examples=200, deadline=None)
+def test_outputs_stay_exact_on_mixed_scalars(case):
+    """Every entry that SpanBuilder and kernel_basis return is an int, a
+    Fraction or a number-field element.  Fraction(1) == 1.0, so the value
+    checks above would not notice a float."""
+    dim, vecs = case
+    span = SpanBuilder(dim)
+    for v in vecs:
+        span.add(v)
+        assert_exact(span.rows)
+    assert_exact(span.reduce(v) for v in vecs)
+    assert_exact(kernel_basis(vecs, dim))
+
+
 class TestFieldPath:
     """Number-field input gets pivot-one rows; rational input keeps int rows."""
 

@@ -149,7 +149,7 @@ class TestPrincipalFunction:
 def reference_linear_roots(p: Poly):
     """Root extraction by Fraction evaluation and long division: the
     implementation the integer one replaced, kept as the reference."""
-    coeffs = list(p.rational_coeffs())
+    coeffs = list(p.coeffs)
     roots = {}
     zero_mult = 0
     while coeffs and coeffs[0] == 0:

@@ -269,9 +269,8 @@ class TestModelForOracle:
         assert builds == [3]
         # window 2 * 3 + 2: generators of degree 3 sit at the first bound
         assert model.bound == 8 and windows == {2: 8}
-        assert {str(w.message) for w in caught} == {
-            "generators found at the bound 3; raise the bound to certify completeness"
-        }
+        # every generator lies below the final bound, so nothing warns
+        assert not caught
         fresh = build_section_ring(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators

@@ -23,7 +23,7 @@ from qsection.errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from qsection.exact_arith import NumberField, Poly, scalar_inverse, scalar_is_zero
+from qsection.exact_arith import NumberField, NumberFieldElem, Poly
 from qsection.linalg import SpanBuilder, kernel_basis, primitive_multiple
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
@@ -227,7 +227,13 @@ class TestModelGuards:
 
     def test_generator_at_bound_warns(self):
         with pytest.warns(BoundTooSmallWarning):
-            build_section_ring(D_HALF, 3)
+            build_section_ring(D_HALF, 2)
+
+    def test_generator_at_the_proven_bound_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundTooSmallWarning)
+            model = build_section_ring(D_HALF, 3)
+        assert model.generators_at_bound and model.bound == model.generator_bound
 
     def test_piece_outside_bound(self):
         model = build_section_ring(D_HALF)
@@ -447,15 +453,16 @@ def reference_extend(D, bound):
 
 
 @st.composite
-def ring_cases(draw):
+def ring_cases(draw, over_nf=None):
     """A divisor on 2-4 points of degree at most one, and a bound.
 
     The coefficients are k/q with q <= 6 and k != 0 of either sign; the
     last one fixes the degree.  Over Q the bound is B* + 2N.  One draw in
-    four puts the divisor on the line over Q(sqrt 2), with a point at
-    sqrt(2) + c, q <= 3 and a bound <= 8.
+    four, or every draw when over_nf is set, puts the divisor on the line
+    over Q(sqrt 2), with a point at sqrt(2) + c, q <= 3 and a bound <= 8.
     """
-    over_nf = draw(st.integers(0, 3)) == 0
+    if over_nf is None:
+        over_nf = draw(st.integers(0, 3)) == 0
     npts = draw(st.integers(2, 4))
     coords = draw(st.permutations(POINT_COORDS))[:npts]
     points = [FiniteP1(c) for c in coords]
@@ -497,7 +504,8 @@ class TestReferenceCrossChecks:
         assert model.dims == ref.dims
         at_bound = bound in ref.generator_degrees
         assert model.generators_at_bound == at_bound
-        assert len(caught) == at_bound
+        # B* certifies completeness, so only a bound below it warns
+        assert len(caught) == (at_bound and bound < model.generator_bound)
         if D.curve.field is None:  # the bound is B* + 2N
             assert max(ref.generator_degrees) <= model.generator_bound
         # the kernel dimension that find_relations counts on, in every degree
@@ -549,12 +557,12 @@ def reference_find_relations(model):
             if consequences.rank == full:
                 break
             res = consequences.reduce(v)
-            lead = next((i for i, c in enumerate(res) if not scalar_is_zero(c)), None)
+            lead = next((i for i, c in enumerate(res) if c), None)
             if lead is None:
                 continue
-            inv = scalar_inverse(res[lead])
+            inv = F(1) / res[lead]
             res = [c * inv for c in res]
-            terms = tuple((monos[i], c) for i, c in enumerate(res) if not scalar_is_zero(c))
+            terms = tuple((monos[i], c) for i, c in enumerate(res) if c)
             relations.append(Relation(n, terms))
             coeffs = primitive_multiple([c for _, c in terms])
             scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
@@ -624,6 +632,19 @@ class TestLeadingTermCount:
                 for m in kernel_leading_monomials(model, n)
                 if not any(divides(g, m) for g in learned)
             ]
+
+
+    @given(ring_cases(over_nf=True))
+    @settings(max_examples=100, deadline=None)
+    def test_relation_coefficients_stay_exact(self, case):
+        """Every coefficient of a relation over Q(sqrt 2) is an int, a
+        Fraction or a number-field element, never a float."""
+        D, bound = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            model = build_section_ring(D, bound)
+        for rel in find_relations(model):
+            assert all(type(c) in (int, F, NumberFieldElem) for _, c in rel.terms), rel
 
 
 D_FOUR = d({FiniteP1(0): F(1, 2), FiniteP1(1): F(1, 3), P1_INFINITY: F(-5, 7)})
