@@ -37,14 +37,11 @@ class WeierstrassCurve:
     field: NumberField | None = None
 
     def __init__(self, a, b, field: NumberField | None = None):
-        a = _lift(a, field)
-        b = _lift(b, field)
-        disc = (4 * a * a * a + 27 * b * b) * (-16)
-        if not disc:
-            raise ValueError("singular curve: the discriminant vanishes")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", _lift(a, field))
+        object.__setattr__(self, "b", _lift(b, field))
         object.__setattr__(self, "field", field)
+        if not self.discriminant:
+            raise ValueError("singular curve: the discriminant vanishes")
 
     @property
     def discriminant(self) -> Scalar:

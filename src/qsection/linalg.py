@@ -15,40 +15,39 @@ vectors the section-ring builders pass in.  The gcd pair only arises for int
 rows.  Stored rows come in two forms:
 
 * Rational input is eliminated over Python ints, fraction-free.  A vector
-  (or, in `kernel_basis`, a matrix row) whose entries are all Fractions or
-  ints is multiplied by the lcm L of its denominators on entry, entry by
-  entry as c.numerator * (L // c.denominator).  Stored rows are primitive
-  (content divided out, pivot positive), so the integers stay small.
+  whose entries are all Fractions or ints is multiplied by the lcm L of its
+  denominators on entry, entry by entry as c.numerator * (L // c.denominator).
+  Stored rows are primitive (content divided out, pivot positive), so the
+  integers stay small.
 * Number-field input is eliminated over the field, with every stored row
   divided by its pivot, so its pivot is one and the step is u - u[p]*r.
 
 Results are turned back into Fractions only on the way out, and both forms
 give exactly what elimination over the field gives:
 
-* Multiplying a row by a nonzero scalar changes neither the row space nor
-  the kernel of a matrix, and every step above is such a multiplication
-  followed by a field elimination step.  So at every step each row is a
-  nonzero multiple of the row field elimination would hold, and the two
-  see the same zero patterns, pivots and ranks.
-* `kernel_basis` returns the kernel read off the reduced row echelon form,
-  vec[pc] = -M[r][free] / M[r][pc].  The reduced row echelon form of a
-  matrix is unique, and the quotient does not depend on the scale of row r.
+* Multiplying a row by a nonzero scalar does not change the row space, and
+  every step above is such a multiplication followed by a field elimination
+  step.  So at every step each row is a nonzero multiple of the row field
+  elimination would hold, and the two see the same zero patterns, pivots
+  and ranks.
 * `SpanBuilder.reduce` returns the integer residual divided by the tracked
   scale (L times the product of the a's).  For a given span, the residual
   of a vector with zeros at the pivot columns is unique: two such residuals
   differ by a span element that vanishes at every pivot column, which is 0.
 
-`kernel_basis` keeps int rows unless some entry is neither a Fraction nor an
-int.  A `SpanBuilder` starts with int rows; the first time it meets a vector
-with a number-field entry it divides each row by its pivot and keeps pivot-one
+A `SpanBuilder` starts with int rows; the first time it meets a vector with
+a number-field entry it divides each row by its pivot and keeps pivot-one
 rows from then on, because a model over Q(sqrt 2) mixes rational and
 irrational coordinate vectors in one span.
+
+Relations need no kernel routine: `section_ring.find_relations` spans the
+vectors (evaluation column | monomial coordinates) and reads each relation
+off a residual whose column block is zero (proof in its module docstring).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 _ZERO = Fraction(0)
@@ -176,50 +175,3 @@ class SpanBuilder:
     def contains(self, vec) -> bool:
         return not any(self._eliminate(vec)[0])
 
-
-def kernel_basis(columns: list[list], nrows: int) -> list[list]:
-    """Kernel of the linear map sending unit vector k to columns[k].
-
-    Returns the canonical kernel basis read off the reduced row echelon
-    form, one vector per free column, in ascending column order.  The
-    elimination is Gauss-Jordan on the rows in stored form.
-    """
-    ncols = len(columns)
-    if ncols == 0:
-        return []
-    rows = list(islice(zip(*columns), nrows))
-    scaled = [_scaled_ints(row) for row in rows]
-    ints = None not in scaled
-    if ints:
-        rows = [u for u, _ in scaled]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        prow = _stored(rows[pivot_row], c, ints)
-        rows[pivot_row] = rows[r]
-        rows[r] = prow
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                u = _step(row, prow, c)[0]
-                # u[c] is zero now, so this only divides out the content
-                rows[i] = _stored(u, c, ints) if ints else u
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    pivot_set = set(pivots)
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [_ZERO] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            x = row[free]
-            if x:
-                vec[pc] = Fraction(-x, row[pc]) if ints else -x
-        kernel.append(vec)
-    return kernel

@@ -36,10 +36,36 @@ oracle ask for spans, ranks, pivots and membership, and none of them
 changes when a vector is multiplied by a nonzero scalar, so they take c and
 drop B.  Relations are kernel vectors, and the kernel does see the scales
 of single columns, but not a scale common to all of them.  So if column k
-of the evaluation map is c_k / B_k, `find_relations` hands `kernel_basis`
-the integer columns c_k * (L / B_k), with L the lcm of the B_k: that matrix
-is L times the true one, has the same kernel, and its canonical kernel
-basis is the true one.  Over a number field every B_k is 1.
+of the evaluation map M is c_k / B_k, `find_relations` uses the integer
+columns col_k = c_k * (L / B_k), with L the lcm of the B_k: they form L*M,
+which has the kernel of M.  Over a number field every B_k is 1.
+
+One span per degree.  In a formed degree n with m monomials,
+`find_relations` spans vectors (column block of length dim R_n | monomial
+block of length m): each consequence c of an earlier relation as (0 | c),
+then monomial k as (col_k | e_k), in `exponent_vectors` order.  A residual
+with a nonzero column block is stored as a row; a residual (0 | w) is a new
+relation w, normalized to lead one, and is stored too.  These are the
+relations of the kernel route: take the canonical kernel basis of L*M, read
+off its reduced row echelon form (for each free column k, the one kernel
+vector v_k that is 1 at k and supported on k and the pivot columns before
+k), reduce each v_k against the span S_k of the consequences and of the
+relations recorded before it, and normalize.  Proof: before monomial k the
+span holds (0 | C) + span{(col_j | e_j) : j < k}, C the consequences.  Its
+vectors with a zero column block are (0 | C + K_k), K_k the kernel vectors
+supported below k.  K_k is spanned by the v_j with free j < k, and each
+such v_j is a recorded relation plus an element of the span before it, or
+lies in that span, so C + K_k = S_k.  The rows with a pivot in the
+monomial block are thus an echelon basis of (0 | S_k), and both routes
+stop at the same monomial, once dim S_k = m - dim R_n.  The residual of
+(col_k | e_k) has a zero column block exactly when col_k lies in the span
+of the earlier columns, that is when k is free; then it is (0 | w), and
+w - v_k is an element of C plus a kernel vector supported below k, so w
+lies in v_k + S_k.  The kernel route's residual also lies in v_k + S_k,
+and both vanish at every pivot of S_k; their difference is an element of
+S_k that vanishes at every pivot, which is 0.  So the relations agree
+coefficient for coefficient.  After the last monomial the rows in the
+monomial block span (0 | K_n), so the kernel dimension is reached.
 
 The model converts to `RationalFunctionP1` only at its edges (generator
 functions, `SectionRing.monomial`, `Piece.basis`) and reads user functions
@@ -86,9 +112,9 @@ degree as `exponent_vectors` lists them, the first largest: weighted degree,
 then lex, a monomial order.  In degree n the evaluation map is onto R_n (the
 generators generate the ring up to the bound), so dim K_n = (number of
 monomials) - dim R_n.  The pivots of an echelon basis of a subspace V of
-S_n are the leading monomials in(V), one per dimension; `find_relations`
-spans the consequences of earlier relations and then the new relations, a
-basis of K_n, so the pivots of that span are in(K)_n.  Let J be the
+S_n are the leading monomials in(V), one per dimension; the rows of the
+span of `find_relations` with a pivot in the monomial block are an echelon
+basis of K_n (above), so their pivots are in(K)_n.  Let J be the
 monomial ideal generated by the in(K)_m learned in the degrees m < n that
 were formed.  A skipped degree m had J_m = in(K)_m already (see below), so
 J contains in(K)_m for every m < n, and J is inside in(K).  With c_n the
@@ -99,7 +125,7 @@ number of degree-n monomials outside J (the standard monomials of S/J),
 When c_n = dim R_n, J_n = in(K)_n.  J_n lies in in(I)_n, with I the ideal
 of the relations of degree below n, and I_n lies in K_n; equal leading
 monomials give equal dimensions, so I_n = K_n: degree n gains no relation
-and is skipped, with no monomials, consequences, columns or kernel.  When
+and is skipped, with no monomials, consequences or columns.  When
 c_n > dim R_n the degree is formed as before, and its pivots outside J join
 it.  c_n is read off the Hilbert series of S/J, N(J) / prod_g (1 - t^d_g),
 whose numerator is updated per new leading monomial m by the exact sequence
@@ -147,7 +173,7 @@ from .errors import (
     PoleOrderMismatchError,
 )
 from .exact_arith import Poly, convolve, poly_divrem
-from .linalg import SpanBuilder, kernel_basis, primitive_multiple
+from .linalg import SpanBuilder, primitive_multiple
 from .p1 import RationalFunctionP1, _as_poly, _h0_element, _h0_factors, _linear_factor
 
 
@@ -540,16 +566,14 @@ def find_relations(model: SectionRing) -> list[Relation]:
     Degree n is skipped when the leading-term count shows that it gains no
     relation: the standard monomials of degree n of the leading monomials
     learned in lower degrees are as many as dim R_n (see the module
-    docstring).  Otherwise the kernel of the monomial evaluation map is
-    computed, the subspace spanned by (lower-degree relation) * (monomial)
-    is removed, and each surviving kernel vector, echelon-reduced and
-    normalized to leading coefficient one, is recorded as a new minimal
-    relation.  The kernel is taken over the integer columns brought to one
-    common denominator.  Every consequence lies in the kernel, whose
-    dimension is the number of monomials minus dim R_n, so once their span
-    has that dimension the remaining consequences, the columns and the
-    kernel are not formed.  The pivots of the finished span are the leading
-    monomials of degree n, and the new ones join the count.
+    docstring).  Otherwise one span takes the consequences (lower-degree
+    relation) * (monomial), then each monomial with its evaluation column
+    ("One span per degree" in the module docstring).  A monomial whose
+    residual has a zero column block gives a new minimal relation, the
+    residual normalized to leading coefficient one.  Once the rows with a
+    pivot in the monomial block number the kernel dimension (monomials -
+    dim R_n) the degree is done; their pivots are the leading monomials of
+    degree n, and the new ones join the count.
     """
     if model._relations is not None:
         return model._relations
@@ -571,46 +595,48 @@ def find_relations(model: SectionRing) -> list[Relation]:
     counts = _div_one_minus(numerator, degrees, size)
     for n in range(1, size):
         piece = model.piece(n)
-        if counts[n] == piece.dim:
+        dim = piece.dim
+        if counts[n] == dim:
             continue
         monos = monos_of(n)
-        full = len(monos) - piece.dim  # the kernel dimension
+        full = len(monos) - dim  # the kernel dimension
         index = {e: i for i, e in enumerate(monos)}
-        consequences = SpanBuilder(len(monos))
+        span = SpanBuilder(dim + len(monos))
+        found = 0  # rows with a pivot in the monomial block
         for rel_degree, terms in scaled_terms:
-            if consequences.rank == full:
+            if found == full:
                 break
             for mu in monos_of(n - rel_degree):
-                vec = [0] * len(monos)
+                vec = [0] * (dim + len(monos))
                 for expo, coeff in terms:
-                    vec[index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
-                consequences.add(vec)
-                if consequences.rank == full:
+                    vec[dim + index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
+                found += span.add(vec)
+                if found == full:
                     break
-        if consequences.rank < full:
+        if found < full:
             coords = [model.monomial_coords(e) for e in monos]
             L = math.lcm(*(B for _, _, B in coords))
-            columns = [
-                piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift)
-                for shift, coeffs, B in coords
-            ]
-            for v in kernel_basis(columns, piece.dim):
-                if consequences.rank == full:
+            for k, (shift, coeffs, B) in enumerate(coords):
+                if found == full:
                     break
-                res = consequences.reduce(v)
-                lead = next((i for i, c in enumerate(res) if c), None)
-                if lead is None:
-                    continue
-                inv = Fraction(1) / res[lead]
-                res = [c * inv for c in res]
-                terms = tuple((monos[i], c) for i, c in enumerate(res) if c)
-                relations.append(Relation(n, terms))
-                coeffs = primitive_multiple([c for _, c in terms])
-                scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
-                consequences.add(res)
+                column = [c * (L // B) for c in coeffs] if B != L else coeffs
+                vec = piece.vector(column, shift) + [0] * len(monos)
+                vec[dim + k] = 1
+                res = span.reduce(vec)
+                if not any(res[:dim]):
+                    lead = next((i for i, c in enumerate(res) if c), None)
+                    if lead is None:
+                        continue
+                    inv = Fraction(1) / res[lead]
+                    terms = tuple((monos[i - dim], c * inv) for i, c in enumerate(res) if c)
+                    relations.append(Relation(n, terms))
+                    coeffs = primitive_multiple([c for _, c in terms])
+                    scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
+                    found += 1
+                span.add(res)
         new = [
-            monos[p] for p in consequences.pivots
-            if not any(_divides(g, monos[p]) for g in leads)
+            monos[p - dim] for p in span.pivots[span.rank - found:]
+            if not any(_divides(g, monos[p - dim]) for g in leads)
         ]
         for m in new:
             _add_lead(numerator, leads, m, degrees)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from field_kernel import kernel_basis
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import (
     BoundTooSmallWarning,
@@ -24,7 +25,7 @@ from qsection.errors import (
     PoleOrderMismatchError,
 )
 from qsection.exact_arith import NumberField, NumberFieldElem, Poly
-from qsection.linalg import SpanBuilder, kernel_basis, primitive_multiple
+from qsection.linalg import SpanBuilder, primitive_multiple
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
     Generator,
@@ -520,10 +521,11 @@ class TestReferenceCrossChecks:
 
 
 def reference_find_relations(model):
-    """Relations without the leading-term count, the reference for it: every
-    degree up to the bound spans the consequences of earlier relations, and
-    the columns and the kernel are formed where they fall short of the
-    counted kernel dimension."""
+    """Relations without the leading-term count or the one span, the
+    reference for both: every degree up to the bound spans the consequences
+    of earlier relations, and where they fall short of the counted kernel
+    dimension the canonical kernel basis (plain field Gauss-Jordan) is
+    reduced against them."""
     degrees = [g.degree for g in model.generators]
     relations = []
     scaled_terms = []
@@ -645,6 +647,31 @@ class TestLeadingTermCount:
             model = build_section_ring(D, bound)
         for rel in find_relations(model):
             assert all(type(c) in (int, F, NumberFieldElem) for _, c in rel.terms), rel
+
+    def test_span_switching_to_pivot_one_rows_midway(self):
+        """1/2[0] + 1/2[1] - 1/2[inf] over Q(sqrt 2) at bound 12 forms only
+        degree 6.  Its span holds int rows for the first four vectors and
+        pivot-one rows from the fifth on, when a monomial residual brings a
+        number-field entry; the relation is still the reference's."""
+        D = QDivisor(
+            ProjectiveLine(Q_SQRT2),
+            {FiniteP1(0): F(1, 2), FiniteP1(1): F(1, 2), P1_INFINITY: F(-1, 2)},
+        )
+        model = build_section_ring(D, 12)
+        assert model.generator_degrees == [2, 2, 3]
+        seen = []  # (rank, every row entry an int) after each add
+        add = SpanBuilder.add
+
+        def recording(span, vec):
+            grew = add(span, vec)
+            seen.append((span.rank, all(type(x) is int for row in span.rows for x in row)))
+            return grew
+
+        with mock.patch.object(SpanBuilder, "add", recording):
+            relations = find_relations(model)
+        assert seen == [(1, True), (2, True), (3, True), (4, True), (5, False)]
+        assert relations == reference_find_relations(model)
+        assert relations == [Relation(6, (((2, 1, 0), 1), ((1, 2, 0), -1), ((0, 0, 2), 1)))]
 
 
 D_FOUR = d({FiniteP1(0): F(1, 2), FiniteP1(1): F(1, 3), P1_INFINITY: F(-5, 7)})
