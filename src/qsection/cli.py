@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -353,6 +354,11 @@ def cmd_semigroup(args) -> dict:
             raise SchemaError(
                 f"profile dims must list degrees 0..bound ({prof.bound + 1} values), "
                 f"got {len(dims)}"
+            )
+        gcd = math.gcd(*prof.support())  # 0 for an empty support
+        if gcd and gcd != prof.s:
+            raise SchemaError(
+                f"profile s must be the gcd {gcd} of the support degrees, got {prof.s}"
             )
         H = semigroup_from_profile(prof)
         x0 = job.get("x0_degree", prof.degree)

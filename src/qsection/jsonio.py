@@ -44,7 +44,6 @@ __all__ = [
     "serialize_divisor",
     "parse_function",
     "serialize_function",
-    "parse_hilbert",
     "serialize_hilbert",
 ]
 
@@ -238,26 +237,6 @@ def serialize_function(f: RationalFunctionP1):
         "numer": [serialize_scalar(c) for c in f.numer.coeffs],
         "denom": [serialize_scalar(c) for c in f.denom.coeffs],
     }
-
-
-def parse_hilbert(obj, path: str = "hilbert") -> HilbertSeries:
-    if (
-        not isinstance(obj, dict)
-        or "numerator" not in obj
-        or "denominator_exponents" not in obj
-    ):
-        _fail(path, "expected {'numerator': [...], 'denominator_exponents': [...]}")
-    num = obj["numerator"]
-    exps = obj["denominator_exponents"]
-    ok_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
-    if not isinstance(num, list) or not all(ok_int(c) for c in num):
-        _fail(f"{path}.numerator", "expected a list of integers")
-    if not isinstance(exps, list) or not exps or not all(ok_int(e) for e in exps):
-        _fail(f"{path}.denominator_exponents", "expected a nonempty list of integers")
-    try:
-        return HilbertSeries(tuple(num), tuple(exps))
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 def serialize_hilbert(hs: HilbertSeries):

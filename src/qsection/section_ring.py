@@ -11,61 +11,68 @@ the finite orders, and the degree bound is the order at infinity.  The
 coefficients of q are the coordinates of f in the echelon basis
 mand * w^j / den of `rr_basis`, so q *is* the coordinate vector.
 
-Products need no gcd.  If f_a and f_b have coordinate polynomials q_a and
-q_b, then f_a * f_b has coordinate polynomial q_a * q_b * carry(a, b), where
+Products need no gcd.  Sections f_i of degrees d_i (i = 1..r) with
+coordinate polynomials q_i have a product of degree n = sum_i d_i with
+coordinate polynomial
 
-    carry(a, b) = prod_x (w - x)^(floor((a+b)*c_x) - floor(a*c_x) - floor(b*c_x))
+    q_1 * ... * q_r * prod_x (w - x)^(floor(n*c_x) - sum_i floor(d_i*c_x)),
 
-and every exponent is 0 or 1: writing {t} = t - floor(t), the exponent is
-floor({a*c_x} + {b*c_x}), and 0 <= {a*c_x} + {b*c_x} < 2.  So carry(a, b)
-depends only on the subset of points with exponent 1, and a divisor with k
-finite points has at most 2^k carries; the model builds each one once.
+as f_i = q_i * prod_x (w - x)^(-floor(d_i*c_x)).  With {t} = t - floor(t),
+the exponent at x is floor(sum_i {d_i*c_x}), from 0 to r - 1.  A generator
+g has q_g = w^column_g, so a monomial prod_g g^e_g is read off its exponents
+alone: w^(sum_g e_g*column_g) times the product with exponents
+floor(n*c_x) - sum_g e_g*floor(d_g*c_x) (`monomial_coords`).  The case
+r = 2 is carry(a, b), whose every exponent floor({a*c_x} + {b*c_x}) is 0 or
+1, so a divisor with k finite points has at most 2^k carries.  The model
+multiplies out each exponent vector (e_x) once.
 
 Integer form.  A finite rational point x = a/b (b > 0, a and b coprime)
 enters as the integer linear factor b*w - a, since w - x = (b*w - a) / b.
 Any other point (a number-field coordinate, including a rational point of a
 line over a number field) enters as the factor -x + w with scale 1.  A
-carry, and the coordinate polynomial of a product of generators (a shift
-w^s times a product of carries), is kept as a coefficient list c and an
-integer B with polynomial c / B: B is the product of the b's of the factors
-taken, and c has integer coefficients for a rational divisor.  The lists
-are multiplied by plain convolution (`convolve`), over any scalars.
+product prod_x (w - x)^e_x is kept as a coefficient list c and an integer
+B = prod_x b^e_x with polynomial c / B; c is integral for a rational
+divisor.  The lists are multiplied by plain convolution (`convolve`), over
+any scalars.
 
 Linear algebra sees only the lists.  Generator discovery and the primality
 oracle ask for spans, ranks, pivots and membership, and none of them
 changes when a vector is multiplied by a nonzero scalar, so they take c and
 drop B.  Relations are kernel vectors, and the kernel does see the scales
-of single columns, but not a scale common to all of them.  So if column k
-of the evaluation map M is c_k / B_k, `find_relations` uses the integer
-columns col_k = c_k * (L / B_k), with L the lcm of the B_k: they form L*M,
-which has the kernel of M.  Over a number field every B_k is 1.
+of single columns.  Monomial k has column M_k = w^s_k * c_k / B_k of the
+evaluation map M, and `find_relations` enters it as (w^s_k * c_k | B_k*e_k)
+= B_k * (M_k | e_k): a nonzero multiple of a vector moves no pivot and only
+scales its residual, and a relation is a residual normalized to lead one,
+so no common denominator of the B_k is needed.  Over a number field every
+B_k is 1.
 
 One span per degree.  In a formed degree n with m monomials,
 `find_relations` spans vectors (column block of length dim R_n | monomial
 block of length m): each consequence c of an earlier relation as (0 | c),
-then monomial k as (col_k | e_k), in `exponent_vectors` order.  A residual
-with a nonzero column block is stored as a row; a residual (0 | w) is a new
-relation w, normalized to lead one, and is stored too.  These are the
-relations of the kernel route: take the canonical kernel basis of L*M, read
-off its reduced row echelon form (for each free column k, the one kernel
-vector v_k that is 1 at k and supported on k and the pivot columns before
-k), reduce each v_k against the span S_k of the consequences and of the
-relations recorded before it, and normalize.  Proof: before monomial k the
-span holds (0 | C) + span{(col_j | e_j) : j < k}, C the consequences.  Its
-vectors with a zero column block are (0 | C + K_k), K_k the kernel vectors
-supported below k.  K_k is spanned by the v_j with free j < k, and each
-such v_j is a recorded relation plus an element of the span before it, or
-lies in that span, so C + K_k = S_k.  The rows with a pivot in the
-monomial block are thus an echelon basis of (0 | S_k), and both routes
-stop at the same monomial, once dim S_k = m - dim R_n.  The residual of
-(col_k | e_k) has a zero column block exactly when col_k lies in the span
-of the earlier columns, that is when k is free; then it is (0 | w), and
-w - v_k is an element of C plus a kernel vector supported below k, so w
-lies in v_k + S_k.  The kernel route's residual also lies in v_k + S_k,
-and both vanish at every pivot of S_k; their difference is an element of
-S_k that vanishes at every pivot, which is 0.  So the relations agree
-coefficient for coefficient.  After the last monomial the rows in the
-monomial block span (0 | K_n), so the kernel dimension is reached.
+then monomial k as (M_k | e_k), entered as B_k times it (above), in
+`exponent_vectors` order.  A residual with a nonzero column block is stored
+as a row; a residual (0 | w) is a new relation w, normalized to lead one,
+and is stored too.  These are the relations of the kernel route: take the
+canonical kernel basis of M, read off its reduced row echelon form (for
+each free column k, the one kernel vector v_k that is 1 at k and supported
+on k and the pivot columns before k), reduce each v_k against the span S_k
+of the consequences and of the relations recorded before it, and normalize.
+Proof: before monomial k the span holds (0 | C) + span{(M_j | e_j) : j < k},
+C the consequences.  Its vectors with a zero column block are
+(0 | C + K_k), K_k the kernel vectors supported below k.  K_k is spanned by
+the v_j with free j < k, and each such v_j is a recorded relation plus an
+element of the span before it, or lies in that span, so C + K_k = S_k.  The
+rows with a pivot in the monomial block are thus an echelon basis of
+(0 | S_k), and both routes stop at the same monomial, once
+dim S_k = m - dim R_n.  The residual of (M_k | e_k) has a zero column block
+exactly when M_k lies in the span of the earlier columns, that is when k is
+free; then it is (0 | w), and w - v_k is an element of C plus a kernel
+vector supported below k, so w lies in v_k + S_k.  The kernel route's
+residual also lies in v_k + S_k, and both vanish at every pivot of S_k;
+their difference is an element of S_k that vanishes at every pivot, which
+is 0.  So the relations agree coefficient for coefficient.  After the last
+monomial the rows in the monomial block span (0 | K_n), so the kernel
+dimension is reached.
 
 The model converts to `RationalFunctionP1` only at its edges (generator
 functions, `SectionRing.monomial`, `Piece.basis`) and reads user functions
@@ -366,11 +373,10 @@ class SectionRing:
             for pt, c in divisor.entries
             if not isinstance(pt, InfinityP1)
         ]
-        # (shift, coefficients, B) of generator monomials, keyed by exponent
-        # vectors without trailing zeros
-        self._mono_memo: dict[tuple, tuple[int, list, int]] = {(): (0, [1], 1)}
-        self._carry_subset: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._carry_memo: dict[tuple[int, ...], tuple[list, int]] = {}
+        # (c, B) of prod_x (w - x)^e_x, keyed by the exponent vector (e_x)
+        self._products: dict[tuple[int, ...], tuple[list, int]] = {}
+        # carry(a, b) by the pair with a <= b
+        self._carries: dict[tuple[int, int], tuple[list, int]] = {}
         self._relations: list[Relation] | None = None
         self._hilbert: HilbertSeries | None = None
 
@@ -408,50 +414,43 @@ class SectionRing:
         empty = [n for n in range(1, scan_end) if _floor_degree(pairs, n) < 0]
         return N + max(empty, default=0)
 
-    def carry(self, a: int, b: int) -> tuple[list, int]:
-        """(c, B) with carry(a, b) = c / B (see the module docstring).
-
-        Memoized twice per model: (a, b) to the subset of points with
-        exponent 1, and the subset to its product, so each distinct carry is
-        multiplied out once.
-        """
-        key = (a, b) if a <= b else (b, a)
-        subset = self._carry_subset.get(key)
-        if subset is None:
-            # floor({a*c} + {b*c}) is 1 exactly when the remainders overflow
-            subset = self._carry_subset[key] = tuple(
-                i
-                for i, (num, den, _, _) in enumerate(self._points)
-                if (a * num) % den + (b * num) % den >= den
-            )
-        out = self._carry_memo.get(subset)
+    def _product(self, expo: tuple[int, ...]) -> tuple[list, int]:
+        """(c, B) with prod_x (w - x)^e_x = c / B over the finite points;
+        memoized by the exponent vector."""
+        out = self._products.get(expo)
         if out is None:
             coeffs, B = [1], 1
-            for i in subset:
-                factor, b_i = self._points[i][2:]
-                coeffs, B = convolve(coeffs, factor), B * b_i
-            out = self._carry_memo[subset] = (coeffs, B)
+            for e, (_, _, factor, b) in zip(expo, self._points):
+                for _ in range(e):
+                    coeffs, B = convolve(coeffs, factor), B * b
+            out = self._products[expo] = (coeffs, B)
+        return out
+
+    def carry(self, a: int, b: int) -> tuple[list, int]:
+        """(c, B) with carry(a, b) = c / B, the product formula for the two
+        degrees a and b (see the module docstring); memoized by the pair."""
+        key = (a, b) if a <= b else (b, a)
+        out = self._carries.get(key)
+        if out is None:
+            n = a + b
+            out = self._carries[key] = self._product(
+                tuple(n * num // den - a * num // den - b * num // den
+                      for num, den, _, _ in self._points)
+            )
         return out
 
     def monomial_coords(self, expo: tuple[int, ...]) -> tuple[int, list, int]:
-        """(s, c, B): a product of generator powers has coordinate polynomial
-        w^s * c / B; memoized."""
-        key = tuple(expo)
-        while key and key[-1] == 0:
-            key = key[:-1]
-        memo = self._mono_memo
-        out = memo.get(key)
-        if out is None:
-            i = len(key) - 1
-            smaller = key[:i] + (key[i] - 1,)
-            gen = self.generators[i]
-            rest = sum(e * g.degree for e, g in zip(smaller, self.generators))
-            shift, coeffs, B = self.monomial_coords(smaller)
-            carry, carry_b = self.carry(gen.degree, rest)
-            if len(carry) > 1:  # skip the common case of a carry of 1
-                coeffs, B = convolve(carry, coeffs), B * carry_b
-            out = memo[key] = (shift + gen.column, coeffs, B)
-        return out
+        """(s, c, B): the product of the generator powers g^e_g has
+        coordinate polynomial w^s * c / B, with s = sum_g e_g * column_g and
+        c / B = prod_x (w - x)^(floor(n*c_x) - sum_g e_g * floor(d_g*c_x)),
+        n = sum_g e_g * d_g (the product formula of the module docstring)."""
+        gens = [(e, g) for e, g in zip(expo, self.generators) if e]
+        n = sum(e * g.degree for e, g in gens)
+        coeffs, B = self._product(
+            tuple(n * num // den - sum(e * (g.degree * num // den) for e, g in gens)
+                  for num, den, _, _ in self._points)
+        )
+        return sum(e * g.column for e, g in gens), coeffs, B
 
     def monomial(self, expo: tuple[int, ...]) -> RationalFunctionP1:
         """Product of generator powers as a rational function."""
@@ -614,14 +613,12 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 if found == full:
                     break
         if found < full:
-            coords = [model.monomial_coords(e) for e in monos]
-            L = math.lcm(*(B for _, _, B in coords))
-            for k, (shift, coeffs, B) in enumerate(coords):
+            for k, e in enumerate(monos):
                 if found == full:
                     break
-                column = [c * (L // B) for c in coeffs] if B != L else coeffs
-                vec = piece.vector(column, shift) + [0] * len(monos)
-                vec[dim + k] = 1
+                shift, coeffs, B = model.monomial_coords(e)
+                vec = piece.vector(coeffs, shift) + [0] * len(monos)
+                vec[dim + k] = B
                 res = span.reduce(vec)
                 if not any(res[:dim]):
                     lead = next((i for i, c in enumerate(res) if c), None)

@@ -453,6 +453,26 @@ class TestSemigroup:
         assert err["error"]["type"] == "SchemaError"
         assert "dims" in err["error"]["message"]
 
+    def test_profile_s_must_be_the_support_gcd(self, tmp_path, capsys):
+        # the support 2, 4, ..., 12 has gcd 2, so s = 1 names the wrong grading
+        profile = {"degree": 1, "bound": 12, "dims": [int(n % 2 == 0) for n in range(13)]}
+        path = write_job(tmp_path, {"profile": profile | {"s": 1}, "x0_degree": 1})
+        code, out, err = run_cli(["semigroup", "--input", path], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert "gcd 2" in err["error"]["message"]
+        path = write_job(tmp_path, {"profile": profile | {"s": 2}, "x0_degree": 1})
+        code, out, _ = run_cli(["semigroup", "--input", path], capsys)
+        assert code == 0
+        assert out["criterion"] is None and out["a_invariant"] == -3
+
+    def test_profile_with_empty_support_is_domain_error(self, tmp_path, capsys):
+        job = {"profile": {"degree": 1, "s": 1, "bound": 3, "dims": [1, 0, 0, 0]}}
+        path = write_job(tmp_path, job)
+        code, _, err = run_cli(["semigroup", "--input", path], capsys)
+        assert code == 1
+        assert err["error"]["type"] == "NotSemigroupLikeError"
+
     def test_gcd_failure_is_domain_error(self, tmp_path, capsys):
         path = write_job(tmp_path, {"generators": [4, 6]})
         code, _, err = run_cli(["semigroup", "--input", path], capsys)

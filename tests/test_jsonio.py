@@ -21,7 +21,6 @@ from qsection.jsonio import (
     parse_curve,
     parse_divisor,
     parse_function,
-    parse_hilbert,
     parse_point,
     parse_rational,
     serialize_curve,
@@ -166,17 +165,9 @@ class TestFunction:
 
 
 class TestHilbert:
-    def test_round_trip(self):
+    def test_serialized_shape(self):
         hs = HilbertSeries((1, 0, 0, 0, 0, 0, -1), (2, 2, 3))
-        obj = serialize_hilbert(hs)
-        assert obj == {
+        assert serialize_hilbert(hs) == {
             "numerator": [1, 0, 0, 0, 0, 0, -1],
             "denominator_exponents": [2, 2, 3],
         }
-        assert parse_hilbert(obj) == hs
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(SchemaError):
-            parse_hilbert({"numerator": [1]})
-        with pytest.raises(SchemaError):
-            parse_hilbert({"numerator": [1], "denominator_exponents": [0]})

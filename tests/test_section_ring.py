@@ -343,12 +343,20 @@ class TestIntegerCarries:
     )
     def test_one_carry_per_point_subset(self, D):
         model = SectionRing(D)
-        k = sum(1 for pt, _ in D.entries if pt != P1_INFINITY)
+        finite = [c for pt, c in D.entries if pt != P1_INFINITY]
+        by_subset = {}  # points with exponent 1 -> the carry returned
         for a in range(25):
             for b in range(25):
-                coeffs, B = model.carry(a, b)
+                out = model.carry(a, b)
+                coeffs, B = out
                 assert Poly(coeffs).scale(F(1, B)) == carry_poly(D, a, b)
-        assert len(model._carry_memo) <= 2**k
+                subset = tuple(
+                    i for i, c in enumerate(finite)
+                    if math.floor((a + b) * c) - math.floor(a * c) - math.floor(b * c)
+                )
+                # the same memoized object for every pair with this subset
+                assert by_subset.setdefault(subset, out) is out
+        assert len(by_subset) <= 2 ** len(finite)
 
 
 @st.composite
@@ -425,7 +433,7 @@ class TestNumberFieldCrossCheck:
         assert [(g.degree, g.column) for g in model.generators] == [
             (g.degree, g.column) for g in model_nf.generators
         ]
-        assert all(B == 1 for _, B in model_nf._carry_memo.values())
+        assert all(model_nf.carry(a, b)[1] == 1 for a in range(13) for b in range(13))
         relations = find_relations(model)
         assert relations == find_relations(model_nf)
         for rel in relations:
@@ -480,6 +488,38 @@ def ring_cases(draw, over_nf=None):
         return QDivisor(ProjectiveLine(Q_SQRT2), entries), draw(st.integers(1, 8))
     D = d(entries)
     return D, SectionRing(D).generator_bound + 2 * D.common_denominator()
+
+
+class TestProductFormula:
+    """The closed form of `monomial_coords` against products of functions."""
+
+    @given(ring_cases(), st.data())
+    @settings(max_examples=150)
+    def test_monomial_coords_match_function_products(self, case, data):
+        """Piece.coords of prod_g g.func^e_g is w^s * c / B for small
+        monomials; rational-function products are slow, so the degrees stop
+        at 8 and each case checks at most three products of two or more
+        factors."""
+        D, bound = case
+        top = min(bound, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmallWarning)
+            model = build_section_ring(D, top)
+        monos = [
+            e
+            for n in range(2, top + 1)
+            for e in exponent_vectors(model.generator_degrees, n)
+            if sum(e) >= 2
+        ]
+        assume(monos)
+        for e in data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True)):
+            f = None
+            for g, a in zip(model.generators, e):
+                for _ in range(a):
+                    f = g.func if f is None else f * g.func
+            shift, coeffs, B = model.monomial_coords(e)
+            piece = model.piece(sum(a * g.degree for g, a in zip(model.generators, e)))
+            assert piece.coords(f) == piece.vector(Poly(coeffs).scale(F(1, B)).coeffs, shift)
 
 
 class TestReferenceCrossChecks:
