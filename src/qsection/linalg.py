@@ -11,8 +11,9 @@ column p of a stored row r as
                        (a, b) = (r[p], u[p]) divided by their gcd,
 
 and the step skips the zero entries of r, which is most of them in the
-vectors the section-ring builders pass in.  The gcd pair only arises for int
-rows.  Stored rows come in two forms:
+vectors the section-ring builders pass in; r is zero before p, so u[:p] is
+only multiplied by a.  The gcd pair only arises for int rows.  Stored rows
+come in two forms:
 
 * Rational input is eliminated over Python ints, fraction-free.  A vector
   whose entries are all Fractions or ints is multiplied by the lcm L of its
@@ -92,7 +93,7 @@ def primitive_multiple(vec) -> list:
 
 
 def _step(u: list, row: list, p: int) -> tuple[list, int]:
-    """(a*u - b*row, a) with u[p] cleared, skipping the zero entries of row."""
+    """(a*u - b*row, a) with u[p] cleared, walking row from its pivot p."""
     c, h = u[p], row[p]
     if h == 1:
         a, b = 1, c
@@ -100,8 +101,9 @@ def _step(u: list, row: list, p: int) -> tuple[list, int]:
         g = gcd(c, h)
         a, b = h // g, c // g
     if a == 1:
-        return [x - b * y if y else x for x, y in zip(u, row)], 1
-    return [a * x - b * y if y else a * x for x, y in zip(u, row)], a
+        return u[:p] + [x - b * y if y else x for x, y in zip(u[p:], row[p:])], 1
+    head = [a * x for x in u[:p]]
+    return head + [a * x - b * y if y else a * x for x, y in zip(u[p:], row[p:])], a
 
 
 def _stored(u: list, p: int, ints: bool) -> list:

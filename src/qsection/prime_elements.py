@@ -41,14 +41,12 @@ both the verdict and the witness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .divisors import CurvePoint, FiniteP1, QDivisor, point_sort_key
 from .errors import (
     BoundTooSmallError,
-    BoundTooSmallWarning,
     HypothesisViolatedError,
     NegativeDimError,
     NotAmpleError,
@@ -60,7 +58,7 @@ from .errors import (
 from .exact_arith import convolve
 from .linalg import SpanBuilder, primitive_multiple
 from .p1 import RationalFunctionP1, divisor_of, principal_function
-from .section_ring import SectionRing, build_section_ring
+from .section_ring import SectionRing, _checked_bound
 
 
 @dataclass(frozen=True)
@@ -237,11 +235,12 @@ def primality_oracle(
     shifts w^j * q_g * carry(d, m-d); the representative in degree a is a
     basis element w^j_a, so a product of two is w^(j_a+j_b) * carry(a, b).
     Only spans and membership are asked of these, so q_g and the carries
-    enter as integer multiples (see `section_ring`).
+    enter as integer multiples (see `section_ring`).  The window is read
+    from the generators, which only a model at `generator_bound` certifies.
     """
     d = cand.degree
-    if not model.generators:
-        raise BoundTooSmallError("model has no generators")
+    if model.bound < model.generator_bound:
+        raise BoundTooSmallError(f"model bound {model.bound} is below B* = {model.generator_bound}")
     needed = _oracle_window(model, d)
     eff = needed if bound is None else bound
     if eff < needed:
@@ -302,27 +301,18 @@ def primality_oracle(
 def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int | None):
     """A model that holds the oracle window of each degree, and those windows.
 
-    The window of degree d is max(2 * (top generator degree) + d,
-    oracle_bound).  The model is built at `bound` and extended in place
-    (which gives the same model as building larger from scratch) until the
-    windows computed from its own generators fit.  A first bound that holds
-    no generator is extended to `generator_bound`, which holds them all; no
-    generator lies above it, so the extension stops.  The final bound is at
-    least every window, and every window exceeds the top generator degree,
-    so no generator sits at the final bound: the bound warnings of the
-    intermediate builds do not describe the model returned and are ignored.
+    The model is extended to max(`bound` or the default, `generator_bound`).
+    No generator lies above B* = `generator_bound`, so the list is complete
+    and nothing warns.  The window of degree d, max(2 * (top generator
+    degree) + d, oracle_bound), is read from it, and the model is extended
+    once more to the largest window.  Refusals are those of
+    `build_section_ring`.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmallWarning)
-        model = build_section_ring(D, bound)
-        if not model.generators:
-            model.extend(model.generator_bound)
-        while True:
-            windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
-            top = max(windows.values())
-            if top <= model.bound:
-                return model, windows
-            model.extend(top)
+    start = _checked_bound(D, bound)
+    model = SectionRing(D)
+    model.extend(max(start, model.generator_bound))
+    windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
+    return model.extend(max(model.bound, *windows.values())), windows
 
 
 def _constructed(sdD: QDivisor, d: int, s: int, point: CurvePoint) -> PrimeCandidate:

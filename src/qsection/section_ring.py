@@ -377,8 +377,6 @@ class SectionRing:
         self._products: dict[tuple[int, ...], tuple[list, int]] = {}
         # carry(a, b) by the pair with a <= b
         self._carries: dict[tuple[int, int], tuple[list, int]] = {}
-        self._relations: list[Relation] | None = None
-        self._hilbert: HilbertSeries | None = None
 
     def piece(self, n: int) -> Piece:
         if n < 0 or n > self.bound:
@@ -491,8 +489,6 @@ class SectionRing:
                 if j not in pivots:
                     self.generators.append(Generator(n, len(self.generators), j, piece))
         self.bound = bound
-        self._relations = None
-        self._hilbert = None
         support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
         self.irredundant = math.gcd(*support) == 1 if support else False
         self.generators_at_bound = any(g.degree == bound for g in self.generators)
@@ -505,17 +501,23 @@ class SectionRing:
         return self
 
 
-def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
-    """Discover generators of the section ring of D up to a degree bound.
-
-    See `SectionRing.extend` for the discovery and the bound warning.
-    """
+def _checked_bound(D: QDivisor, bound: int | None) -> int:
+    """`bound` or the default, after the refusals of every model build."""
     if D.degree() <= 0:
         raise NotAmpleError(f"divisor degree {D.degree()} is not positive")
     if bound is None:
         bound = default_bound(D)
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    return bound
+
+
+def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
+    """Discover generators of the section ring of D up to a degree bound.
+
+    See `SectionRing.extend` for the discovery and the bound warning.
+    """
+    bound = _checked_bound(D, bound)
     return SectionRing(D).extend(bound)
 
 
@@ -574,8 +576,6 @@ def find_relations(model: SectionRing) -> list[Relation]:
     dim R_n) the degree is done; their pivots are the leading monomials of
     degree n, and the new ones join the count.
     """
-    if model._relations is not None:
-        return model._relations
     degrees = [g.degree for g in model.generators]
     size = model.bound + 1
     monomials: dict[int, list] = {}
@@ -639,7 +639,6 @@ def find_relations(model: SectionRing) -> list[Relation]:
             _add_lead(numerator, leads, m, degrees)
         if new:
             counts = _div_one_minus(numerator, degrees, size)
-    model._relations = relations
     return relations
 
 
@@ -706,8 +705,6 @@ def hilbert_series(model: SectionRing) -> HilbertSeries:
     it is a polynomial exactly when N of them vanish there; if they do not,
     the generator list is incomplete and the fit fails.
     """
-    if model._hilbert is not None:
-        return model._hilbert
     exps = sorted(model.generator_degrees)
     if not exps:
         raise FitFailedError("model has no generators to build a series from")
@@ -720,9 +717,7 @@ def hilbert_series(model: SectionRing) -> HilbertSeries:
             "no integer numerator matches the dimension series; "
             "the generator list is incomplete or the bound is too small"
         )
-    hs = HilbertSeries(tuple(num[:start]), tuple(exps))
-    model._hilbert = hs
-    return hs
+    return HilbertSeries(tuple(num[:start]), tuple(exps))
 
 
 def tomari_limit(hs: HilbertSeries, dim: int) -> Fraction:

@@ -53,6 +53,15 @@ WINDOW_JOB = {
 }
 
 
+# D = 6/5 [-1] has generators in degrees 1, 1 and 5 and B* = 5; at bound 1
+# or 2 the model holds only the two in degree 1, whose window 2 * 1 + 1
+# cannot see the two-dimensional quotient in degree 5 of 1/(w + 1)
+SIX_FIFTHS_JOB = {
+    "divisor": [{"point": "-1", "coeff": "6/5"}],
+    "candidate": {"degree": 1, "function": {"numer": ["1"], "denom": ["1", "1"]}},
+}
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(BOUND_ENV_VAR, raising=False)
@@ -374,6 +383,18 @@ class TestPrimes:
         code, out, err = run_cli(["primes", action, "--input", path, "--bound", bound], capsys)
         assert code == 0, err
         assert out == default
+
+    @pytest.mark.parametrize("bound", ["1", "2"])
+    def test_small_bound_still_sees_every_generator(self, tmp_path, capsys, bound):
+        path = write_job(tmp_path, SIX_FIFTHS_JOB)
+        code, default, _ = run_cli(["primes", "check", "--input", path], capsys)
+        assert code == 0
+        assert default["oracle"] == {
+            "is_prime": False, "kind": "dimension", "witness": [5], "bound": 11
+        }
+        code, out, err = run_cli(["primes", "check", "--input", path, "--bound", bound], capsys)
+        assert code == 0, err
+        assert out["oracle"] == default["oracle"]
 
     def test_construct_over_a_number_field(self, tmp_path, capsys):
         """The constructed divisor is reported as built: its point sqrt(2)

@@ -144,6 +144,12 @@ class TestPrimalityOracle:
         with pytest.raises(BoundTooSmallError):
             primality_oracle(model_half, X_MINUS_2Y, bound=5)
 
+    def test_model_below_the_generator_bound_is_refused(self):
+        # B* = 5, and the degree-5 generator is missing at bound 3
+        model = build_section_ring(d({FiniteP1(-1): F(6, 5)}), 3)
+        with pytest.raises(BoundTooSmallError):
+            primality_oracle(model, PrimeCandidate(rf((1,), (1, 1)), 1))
+
     def test_bound_exceeding_model_rejected(self, model_half):
         with pytest.raises(BoundTooSmallError):
             primality_oracle(model_half, X_MINUS_2Y, bound=model_half.bound + 1)
@@ -254,20 +260,39 @@ class TestIndecomposablePairs:
         assert primality_oracle(model, cand) == reference_oracle(model, cand)
 
 
+ORACLE_POINTS = (FiniteP1(0), FiniteP1(1), FiniteP1(-1), FiniteP1(F(1, 2)), FiniteP1(3), P1_INFINITY)
+
+
+@st.composite
+def oracle_model_cases(draw):
+    """An ample divisor on 1-4 points with B* at most 24, a bound from 1 to
+    B* + 1, and a candidate degree 1 or 2."""
+    points = draw(st.lists(st.sampled_from(ORACLE_POINTS), min_size=1, max_size=4, unique=True))
+    coeffs = [
+        F(draw(st.integers(-7, 7).filter(bool)), draw(st.integers(1, 6))) for _ in points
+    ]
+    assume(sum(coeffs) > 0)
+    D = d(dict(zip(points, coeffs)))
+    top = SectionRing(D).generator_bound
+    assume(top <= 24)
+    return D, draw(st.integers(1, top + 1)), draw(st.sampled_from([1, 2]))
+
+
 class TestModelForOracle:
     def test_builds_once_and_extends_to_the_window(self, monkeypatch):
-        builds = []
+        models = []
 
-        def counting_build(D, bound=None):
-            builds.append(bound)
-            return build_section_ring(D, bound)
+        class CountingRing(SectionRing):
+            def __init__(self, D):
+                super().__init__(D)
+                models.append(self)
 
-        monkeypatch.setattr(prime_elements, "build_section_ring", counting_build)
+        monkeypatch.setattr(prime_elements, "SectionRing", CountingRing)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BoundTooSmallWarning)
             model, windows = _model_for_oracle(D_HALF, [2], 3, None)
-        assert builds == [3]
-        # window 2 * 3 + 2: generators of degree 3 sit at the first bound
+        assert models == [model]
+        # window 2 * 3 + 2: generators of degree 3 sit at B* = 3
         assert model.bound == 8 and windows == {2: 8}
         # every generator lies below the final bound, so nothing warns
         assert not caught
@@ -277,15 +302,29 @@ class TestModelForOracle:
 
     @pytest.mark.parametrize("bound", [1, 2])
     def test_extends_until_its_own_window_fits(self, bound):
-        """Bound 1 holds no generator (R_1 = 0) and is extended to
-        generator_bound = 3; bound 2 gives the window 2 * 2 + 2 = 6, whose
-        extension finds a generator in degree 3 and the window 8."""
+        """Bound 1 holds no generator (R_1 = 0) and bound 2 misses the one in
+        degree 3; both are extended to generator_bound = 3, whose generators
+        give the windows 2 * 3 + 1 and 2 * 3 + 2."""
         D = d({FiniteP1(0): F(-3, 2), FiniteP1(1): F(-3, 2), P1_INFINITY: F(7, 2)})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            model, windows = _model_for_oracle(D, [1, 2], bound, None)
+        model, windows = _model_for_oracle(D, [1, 2], bound, None)
         assert model.generator_degrees == [2, 2, 3]
         assert windows == {1: 7, 2: 8} and model.bound == 8
+
+    @given(oracle_model_cases())
+    @settings(max_examples=100)
+    def test_every_bound_gives_the_model_at_the_generator_bound(self, case):
+        """From any bound, the generators and windows are those of the model
+        built at B*, which holds every generator, and nothing warns."""
+        D, bound, degree = case
+        fresh = build_section_ring(D, SectionRing(D).generator_bound)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BoundTooSmallWarning)
+            model, windows = _model_for_oracle(D, [degree], bound, None)
+        assert not caught
+        assert model.generators == fresh.generators
+        window = 2 * max(fresh.generator_degrees) + degree
+        assert windows == {degree: window}
+        assert model.bound == max(bound, fresh.bound, window)
 
 
 class TestConstructPrime:
