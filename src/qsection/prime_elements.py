@@ -21,7 +21,8 @@ Three routes are kept deliberately separate and cross-checked:
   primality up to the bound is equivalent to all pairwise products of the
   nonzero quotient representatives staying nonzero modulo the ideal.  It
   reads the candidate into coordinates once and then works with coordinate
-  polynomials and the model's carry polynomials (see `section_ring`).
+  polynomials and the model's carry polynomials (see `section_ring`), and
+  tests each product against one row per degree (below).
 
 Indecomposable oracle pairs.  Let S be the quotient support (degrees n >= 1
 with (R/xR)_n of dimension one) and r_n the representative in degree n.
@@ -36,6 +37,32 @@ r_a1 * r_(a2+b) != 0 (a1 < a).  Hence
 r_a * r_b = (nu / mu) * r_a1 * r_(a2+b) != 0, a contradiction.  The first
 vanishing pair therefore has an indecomposable a, so restricting a keeps
 both the verdict and the witness.
+
+One row per degree.  Once every quotient dimension up to the window is at
+most one, x*R_{m-d} needs no span.  Let k = dim R_{m-d} and write qdims[m]
+for dim R_m - k.  If k = 0 (m < d, or R_{m-d} = 0 as in degree 3 of the
+half-integer ring at d = 2), the image is zero, the representative is w^0
+and no product in degree m vanishes; the degree of q_g * carry(d, m-d) is
+not bounded there, so it is not read.  If k >= 1, x*R_{m-d} is spanned by
+the shifts w^j * base, j < k, with base = q_g * carry(d, m-d).  As
+w^(k-1) * base lies in R_m, deg base <= dim R_m - k = qdims[m] <= 1, so
+base = b0 + b1*w.  The lowest term of w^j * base is w^j when b0 != 0 and
+w^(j+1) otherwise, so the shifts are independent, their pivots are 0..k-1
+or 1..k, and the representative is w^k or w^0.  If qdims[m] = 0 the image
+is all of R_m and every product in degree m vanishes.  If qdims[m] = 1, let
+K = dim R_m - 1 = k and
+
+    lambda_m(P) = sum_i P_i * (-b0)^i * b1^(K-i)      for P in R_m.
+
+For b1 != 0 this is b1^K * P(-b0/b1), and every shift vanishes at the root
+-b0/b1 of base; for b1 = 0 it is P_K * (-b0)^K, and every shift w^j * b0,
+j < K, has no w^K term.  So lambda_m kills every shift, and it is nonzero
+(b0 and b1 are not both zero), so its kernel has dimension K = k: it is
+x*R_{m-d}.  A product r_a * r_b = w^(j_a+j_b) * carry(a, b) therefore
+vanishes in the quotient iff sum_i c_i * lambda_(a+b)[j_a+j_b+i] = 0, with
+c the coefficients of carry(a, b).  Scaling base or c by a nonzero constant
+scales lambda or the sum, so integer multiples serve, and the same scalar
+operators work over a number field.
 """
 
 from __future__ import annotations
@@ -48,6 +75,7 @@ from .divisors import CurvePoint, FiniteP1, QDivisor, point_sort_key
 from .errors import (
     BoundTooSmallError,
     HypothesisViolatedError,
+    MembershipError,
     NegativeDimError,
     NotAmpleError,
     NotIrredundantError,
@@ -56,7 +84,7 @@ from .errors import (
     ZeroCandidateError,
 )
 from .exact_arith import convolve
-from .linalg import SpanBuilder, primitive_multiple
+from .linalg import primitive_multiple
 from .p1 import RationalFunctionP1, divisor_of, principal_function
 from .section_ring import SectionRing, _checked_bound
 
@@ -217,6 +245,25 @@ def necessary_check(model: SectionRing, cand: PrimeCandidate) -> NecessaryReport
     )
 
 
+def _quotient_row(model: SectionRing, q_g: list, d: int, m: int) -> tuple[int, list]:
+    """(j, lam) in degree m for x = g*T^d, whose quotient dimension there is
+    at most one: w^j is the quotient representative, and the kernel of the
+    row lam in R_m is x*R_{m-d} (see "One row per degree" in the module
+    docstring)."""
+    dim = model.pieces[m].dim
+    k = model.pieces[m - d].dim if m >= d else 0
+    if not k:  # the image is zero
+        return 0, [1] * dim
+    qdim = dim - k
+    base = convolve(model.carry(d, m - d)[0], q_g)
+    if len(base) > qdim + 1:
+        raise MembershipError(f"product of sections left the ring in degree {m}")
+    if not qdim:  # the image is all of R_m
+        return 0, [0] * dim
+    b0, b1 = base[0], base[1] if len(base) > 1 else 0
+    return (k if b0 else 0), [(-b0) ** i * b1 ** (k - i) for i in range(dim)]
+
+
 def primality_oracle(
     model: SectionRing, cand: PrimeCandidate, bound: int | None = None
 ) -> OracleResult:
@@ -231,12 +278,15 @@ def primality_oracle(
     pairs whose smaller degree is no sum of two support degrees are tested,
     which finds the same first pair (see the module docstring).
 
-    With q_g the coordinate polynomial of g, x*R_{m-d} is spanned by the
-    shifts w^j * q_g * carry(d, m-d); the representative in degree a is a
-    basis element w^j_a, so a product of two is w^(j_a+j_b) * carry(a, b).
-    Only spans and membership are asked of these, so q_g and the carries
-    enter as integer multiples (see `section_ring`).  The window is read
-    from the generators, which only a model at `generator_bound` certifies.
+    With q_g the coordinate polynomial of g, each degree m gets a basis
+    element w^j_m as its representative and one row lambda_m whose kernel
+    in R_m is x*R_{m-d} (`_quotient_row`; proof under "One row per degree"
+    in the module docstring).  A product of two representatives is
+    w^(j_a+j_b) * carry(a, b), and it vanishes in the quotient exactly when
+    its dot product with lambda_(a+b) is zero.  Nonzero multiples of q_g
+    and of the carries give the same answer, so they enter as integers
+    (see `section_ring`).  The window is read from the generators, which
+    only a model at `generator_bound` certifies.
     """
     d = cand.degree
     if model.bound < model.generator_bound:
@@ -257,31 +307,12 @@ def primality_oracle(
         if qdims[n] > 1:
             return OracleResult(False, "dimension", (n,), eff)
 
-    image_cache: dict[int, SpanBuilder] = {}
+    rows: dict[int, tuple[int, list]] = {}
 
-    def image(m: int) -> SpanBuilder:
-        if m not in image_cache:
-            piece = model.piece(m)
-            span = SpanBuilder(piece.dim)
-            if m >= d:
-                base = convolve(model.carry(d, m - d)[0], q_g)
-                for j in range(model.piece(m - d).dim):
-                    span.add(piece.vector(base, j))
-            if piece.dim - span.rank != qdims[m]:
-                raise NegativeDimError(
-                    f"inconsistent quotient dimension in degree {m}"
-                )
-            image_cache[m] = span
-        return image_cache[m]
-
-    rep_cache: dict[int, int] = {}
-
-    def representative(m: int) -> int:
-        """The basis column of the quotient representative in degree m."""
-        if m not in rep_cache:
-            pivots = set(image(m).pivots)
-            rep_cache[m] = next(j for j in range(model.piece(m).dim) if j not in pivots)
-        return rep_cache[m]
+    def row(m: int) -> tuple[int, list]:
+        if m not in rows:
+            rows[m] = _quotient_row(model, q_g, d, m)
+        return rows[m]
 
     support = [n for n in range(1, eff + 1) if qdims[n] == 1]
     in_support = set(support)
@@ -291,9 +322,9 @@ def primality_oracle(
         for b in support:
             if b < a or a + b > eff:
                 continue
-            carry = model.carry(a, b)[0]
-            vec = model.piece(a + b).vector(carry, representative(a) + representative(b))
-            if image(a + b).contains(vec):
+            shift = row(a)[0] + row(b)[0]
+            lam = row(a + b)[1][shift:]
+            if not sum(c * l for c, l in zip(model.carry(a, b)[0], lam)):
                 return OracleResult(False, "product", (a, b), eff)
     return OracleResult(True, "ok", None, eff)
 

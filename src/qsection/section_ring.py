@@ -35,16 +35,16 @@ B = prod_x b^e_x with polynomial c / B; c is integral for a rational
 divisor.  The lists are multiplied by plain convolution (`convolve`), over
 any scalars.
 
-Linear algebra sees only the lists.  Generator discovery and the primality
-oracle ask for spans, ranks, pivots and membership, and none of them
-changes when a vector is multiplied by a nonzero scalar, so they take c and
-drop B.  Relations are kernel vectors, and the kernel does see the scales
-of single columns.  Monomial k has column M_k = w^s_k * c_k / B_k of the
-evaluation map M, and `find_relations` enters it as (w^s_k * c_k | B_k*e_k)
-= B_k * (M_k | e_k): a nonzero multiple of a vector moves no pivot and only
-scales its residual, and a relation is a residual normalized to lead one,
-so no common denominator of the B_k is needed.  Over a number field every
-B_k is 1.
+Linear algebra sees only the lists.  Generator discovery asks for spans,
+ranks, pivots and membership, the primality oracle asks whether a product
+lies in the kernel of one row, and none of them changes when a vector is
+multiplied by a nonzero scalar, so they take c and drop B.  Relations are
+kernel vectors, and the kernel does see the scales of single columns.
+Monomial k has column M_k = w^s_k * c_k / B_k of the evaluation map M, and
+`find_relations` enters it as (w^s_k * c_k | B_k*e_k) = B_k * (M_k | e_k):
+a nonzero multiple of a vector moves no pivot and only scales its residual,
+and a relation is a residual normalized to lead one, so no common
+denominator of the B_k is needed.  Over a number field every B_k is 1.
 
 One span per degree.  In a formed degree n with m monomials,
 `find_relations` spans vectors (column block of length dim R_n | monomial

@@ -18,7 +18,7 @@ from qsection.errors import (
     NotLinearlyEquivalentError,
     QSectionError,
 )
-from qsection.exact_arith import NumberField, Poly
+from qsection.exact_arith import NumberField, Poly, convolve
 from qsection.linalg import SpanBuilder
 from qsection.p1 import RationalFunctionP1, divisor_of
 from qsection.prime_elements import (
@@ -27,6 +27,7 @@ from qsection.prime_elements import (
     _candidate_coords,
     _model_for_oracle,
     _quotient_dims,
+    _quotient_row,
     construct_prime,
     enumerate_primes,
     necessary_check,
@@ -166,12 +167,13 @@ class TestPrimalityOracle:
         assert vec is not None
 
 
-def reference_oracle(model, cand):
-    """The oracle over all pairs, the reference for indecomposable pairs:
-    every pair a <= b of support degrees with a + b in the default window is
-    tested, in the order (a, b)."""
+def reference_oracle(model, cand, bound=None):
+    """The oracle over all pairs, with x*R_{m-d} spanned in every degree: the
+    reference for indecomposable pairs and for one row per degree.  Every
+    pair a <= b of support degrees with a + b in the window (`bound`, or the
+    default window) is tested, in the order (a, b)."""
     d = cand.degree
-    eff = 2 * max(model.generator_degrees) + d
+    eff = bound or 2 * max(model.generator_degrees) + d
     q_g = _candidate_coords(model, cand)
     qdims = _quotient_dims(model.dims, d, eff)
     for n in range(1, eff + 1):
@@ -325,6 +327,97 @@ class TestModelForOracle:
         window = 2 * max(fresh.generator_degrees) + degree
         assert windows == {degree: window}
         assert model.bound == max(bound, fresh.bound, window)
+
+
+@st.composite
+def oracle_window_cases(draw):
+    """A model, a candidate with random coordinates, and a window from the
+    default one up to the model bound.
+
+    The divisors are drawn as in `oracle_model_cases` (1-4 points,
+    numerators -7..7 over 1..6, B* <= 24), except that one coefficient sets
+    deg D to a/q with a <= 3 and q <= 12: most divisors of larger degree
+    end in a dimension witness, and these also reach products.  Some have
+    R_1 = 0 and take the degree d = 2; otherwise d is 1 or 2.  The model is
+    built from a bound up to B* + 8 and may be extended up to 6 degrees past
+    the default window.  One draw in four moves the first finite point c to
+    sqrt(2) + c on the line over Q(sqrt 2), with B* <= 6.
+    """
+    points = draw(st.lists(st.sampled_from(ORACLE_POINTS), min_size=1, max_size=4, unique=True))
+    coeffs = [
+        F(draw(st.integers(-7, 7).filter(bool)), draw(st.integers(1, 6))) for _ in points[1:]
+    ]
+    coeffs.insert(0, F(draw(st.integers(1, 3)), draw(st.integers(1, 12))) - sum(coeffs))
+    assume(coeffs[0])
+    entries = list(zip(points, coeffs))
+    curve = P1
+    if draw(st.integers(0, 3)) == 0:
+        i = next((i for i, (pt, _) in enumerate(entries) if pt != P1_INFINITY), None)
+        assume(i is not None)
+        entries[i] = (FiniteP1(SQRT2 + entries[i][0].coord), entries[i][1])
+        curve = ProjectiveLine(Q_SQRT2)
+    D = QDivisor(curve, entries)
+    top = SectionRing(D).generator_bound
+    assume(top <= (6 if curve.field else 24))
+    degree = draw(st.sampled_from([1, 2])) if Piece(D, 1).dim else 2
+    piece = Piece(D, degree)
+    assume(piece.dim)
+    model, windows = _model_for_oracle(D, [degree], draw(st.integers(1, top + 8)), None)
+    model.extend(max(model.bound, windows[degree] + draw(st.integers(0, 6))))
+    coeffs = [draw(st.integers(-2, 2)) for _ in range(piece.dim)]
+    if curve.field:
+        coeffs = [c + draw(st.integers(-1, 1)) * SQRT2 for c in coeffs]
+    assume(any(coeffs))
+    window = draw(st.integers(windows[degree], model.bound))
+    return model, PrimeCandidate(piece.function(Poly(coeffs)), degree), window
+
+
+class TestOracleWindows:
+    @given(oracle_window_cases())
+    @settings(max_examples=200)
+    def test_oracle_matches_the_span_reference(self, case):
+        model, cand, window = case
+        assert primality_oracle(model, cand, window) == reference_oracle(model, cand, window)
+
+
+class TestQuotientRow:
+    @given(oracle_window_cases())
+    @settings(max_examples=100)
+    def test_one_row_is_the_image_of_x(self, case):
+        """deg(q_g * carry(d, m - d)) <= qdims[m] whenever R_{m-d} != 0, and in
+        every degree of quotient dimension one the row kills x*R_{m-d}, is
+        nonzero, and the representative is the first column off the span's
+        pivots."""
+        model, cand, _ = case
+        d = cand.degree
+        q_g = _candidate_coords(model, cand)
+        qdims = _quotient_dims(model.dims, d, model.bound)
+        for m in range(1, model.bound + 1):
+            k = model.piece(m - d).dim if m >= d else 0
+            shifts = []
+            if k:
+                base = convolve(model.carry(d, m - d)[0], q_g)
+                assert len(base) - 1 <= qdims[m]
+                shifts = [model.piece(m).vector(base, j) for j in range(k)]
+            if qdims[m] != 1:
+                continue
+            span = SpanBuilder(model.piece(m).dim)
+            for vec in shifts:
+                span.add(vec)
+            j, lam = _quotient_row(model, q_g, d, m)
+            assert j == min(set(range(model.piece(m).dim)) - set(span.pivots))
+            assert any(lam)
+            assert all(not sum(u * v for u, v in zip(vec, lam)) for vec in shifts)
+
+    def test_half_integer_ring_has_an_empty_image_in_degree_three(self, model_half):
+        """At d = 2, R_1 = 0, so x*R_1 is zero in degree 3, which lies in the
+        quotient support: the row is [1] and the representative w^0.  The
+        verdicts of both candidates are pinned in `TestPrimalityOracle`."""
+        assert model_half.piece(1).dim == 0
+        for cand in (X_GEN, X_MINUS_2Y):
+            q_g = _candidate_coords(model_half, cand)
+            assert 3 in quotient_profile(model_half, cand).support()
+            assert _quotient_row(model_half, q_g, 2, 3) == (0, [1])
 
 
 class TestConstructPrime:
