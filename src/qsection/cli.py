@@ -31,6 +31,7 @@ from .divisors import QDivisor
 from .elliptic import ec_prime_exists
 from .errors import BoundTooSmallWarning, QSectionError, SchemaError
 from .jsonio import (
+    format_json,
     parse_curve,
     parse_divisor,
     parse_function,
@@ -474,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_payload(payload: dict, output: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = format_json(payload) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -514,7 +515,7 @@ def _emit_error(exc: Exception, kind: str):
             "message": str(exc),
         }
     }
-    sys.stderr.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stderr.write(format_json(payload) + "\n")
 
 
 if __name__ == "__main__":

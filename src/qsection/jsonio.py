@@ -7,11 +7,17 @@ field, polynomial coefficient lists are lowest degree first.  Points are
 of a Weierstrass curve, a scalar for a finite line coordinate, or
 {"xy": [x, y]} for an affine curve point.  Every malformed input raises
 SchemaError with the offending path.
+
+`format_json` writes a payload as `json.dumps(obj, sort_keys=True,
+indent=2)` does, byte for byte: with `indent` set, `json` falls back to its
+pure-Python encoder, while here the strings go through the C quoting
+function and the parts are joined once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .divisors import (
     EC_ORIGIN,
@@ -31,6 +37,7 @@ from .p1 import RationalFunctionP1
 from .section_ring import HilbertSeries
 
 __all__ = [
+    "format_json",
     "parse_rational",
     "serialize_rational",
     "parse_scalar",
@@ -46,6 +53,58 @@ __all__ = [
     "serialize_function",
     "serialize_hilbert",
 ]
+
+
+def format_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for payloads made of dicts
+    with str keys, lists, tuples, strs, ints, bools and None; any other type
+    raises TypeError, as `json` does.
+    """
+    parts: list[str] = []
+    append = parts.append
+    quote = encode_basestring_ascii
+
+    def write(o, indent: str) -> None:
+        if isinstance(o, str):
+            append(quote(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = indent + "  "
+            append("[\n" + inner)
+            for i, item in enumerate(o):
+                if i:
+                    append(",\n" + inner)
+                write(item, inner)
+            append("\n" + indent + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = indent + "  "
+            append("{\n" + inner)
+            for i, key in enumerate(sorted(o)):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                if i:
+                    append(",\n" + inner)
+                append(quote(key) + ": ")
+                write(o[key], inner)
+            append("\n" + indent + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "")
+    return "".join(parts)
 
 
 def _fail(path: str, msg: str):
@@ -66,7 +125,7 @@ def parse_rational(obj, path: str = "rational") -> Fraction:
 
 
 def serialize_rational(q) -> str:
-    return str(Fraction(q))
+    return str(q) if type(q) in (Fraction, int) else str(Fraction(q))
 
 
 def parse_field(obj, path: str = "field") -> NumberField | None:

@@ -41,9 +41,12 @@ a number-field entry it divides each row by its pivot and keeps pivot-one
 rows from then on, because a model over Q(sqrt 2) mixes rational and
 irrational coordinate vectors in one span.
 
-Relations need no kernel routine: `section_ring.find_relations` spans the
-vectors (evaluation column | monomial coordinates) and reads each relation
-off a residual whose column block is zero (proof in its module docstring).
+`SpanBuilder.add` returns the row it stores, a nonzero multiple of the
+residual, or None when the vector lies in the span already.  Relations need
+no kernel routine: `section_ring.find_relations` adds the vectors
+(evaluation column | monomial coordinates) to one span and reads each
+relation off a returned row whose column block is zero (proof in its module
+docstring), so `reduce` is not on that path.
 """
 
 from __future__ import annotations
@@ -165,14 +168,16 @@ class SpanBuilder:
             return u
         return [Fraction(x, s) if x else _ZERO for x in u]
 
-    def add(self, vec) -> bool:
-        """Add a vector to the span; True if it enlarged the subspace."""
+    def add(self, vec) -> list | None:
+        """Add a vector to the span: the row stored for it (see the module
+        docstring), or None when it lies in the span already."""
         u = self._eliminate(vec)[0]
         p = next((i for i, x in enumerate(u) if x), None)
         if p is None:
-            return False
-        self._insert(_stored(u, p, self._ints), p)
-        return True
+            return None
+        row = _stored(u, p, self._ints)
+        self._insert(row, p)
+        return row
 
     def contains(self, vec) -> bool:
         return not any(self._eliminate(vec)[0])

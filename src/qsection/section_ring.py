@@ -50,28 +50,31 @@ One span per degree.  In a formed degree n with m monomials,
 `find_relations` spans vectors (column block of length dim R_n | monomial
 block of length m): each consequence c of an earlier relation as (0 | c),
 then monomial k as (M_k | e_k), entered as B_k times it (above), in
-`exponent_vectors` order.  A residual with a nonzero column block is stored
-as a row; a residual (0 | w) is a new relation w, normalized to lead one,
-and is stored too.  These are the relations of the kernel route: take the
-canonical kernel basis of M, read off its reduced row echelon form (for
-each free column k, the one kernel vector v_k that is 1 at k and supported
-on k and the pivot columns before k), reduce each v_k against the span S_k
-of the consequences and of the relations recorded before it, and normalize.
-Proof: before monomial k the span holds (0 | C) + span{(M_j | e_j) : j < k},
-C the consequences.  Its vectors with a zero column block are
-(0 | C + K_k), K_k the kernel vectors supported below k.  K_k is spanned by
-the v_j with free j < k, and each such v_j is a recorded relation plus an
-element of the span before it, or lies in that span, so C + K_k = S_k.  The
-rows with a pivot in the monomial block are thus an echelon basis of
-(0 | S_k), and both routes stop at the same monomial, once
-dim S_k = m - dim R_n.  The residual of (M_k | e_k) has a zero column block
-exactly when M_k lies in the span of the earlier columns, that is when k is
-free; then it is (0 | w), and w - v_k is an element of C plus a kernel
-vector supported below k, so w lies in v_k + S_k.  The kernel route's
-residual also lies in v_k + S_k, and both vanish at every pivot of S_k;
-their difference is an element of S_k that vanishes at every pivot, which
-is 0.  So the relations agree coefficient for coefficient.  After the last
-monomial the rows in the monomial block span (0 | K_n), so the kernel
+`exponent_vectors` order.  Each vector is eliminated once, and
+`SpanBuilder.add` stores its residual as a row, scaled to primitive ints or
+to pivot one, and returns that row.  A residual (0 | w) is a new relation
+w, normalized to lead one.  It is read off the stored row (0 | w'): w' is a
+nonzero multiple of w, so w' normalized to lead one (the terms w'_i / w'_p,
+p its pivot) is the same relation.  These are the relations of the kernel
+route: take the canonical kernel basis of M, read off its reduced row
+echelon form (for each free column k, the one kernel vector v_k that is 1
+at k and supported on k and the pivot columns before k), reduce each v_k
+against the span S_k of the consequences and of the relations recorded
+before it, and normalize.  Proof: before monomial k the span holds
+(0 | C) + span{(M_j | e_j) : j < k}, C the consequences.  Its vectors with
+a zero column block are (0 | C + K_k), K_k the kernel vectors supported
+below k.  K_k is spanned by the v_j with free j < k, and each such v_j is a
+recorded relation plus an element of the span before it, or lies in that
+span, so C + K_k = S_k.  The rows with a pivot in the monomial block are
+thus an echelon basis of (0 | S_k), and both routes stop at the same
+monomial, once dim S_k = m - dim R_n.  The residual of (M_k | e_k) has a
+zero column block exactly when M_k lies in the span of the earlier columns,
+that is when k is free; then it is (0 | w), and w - v_k is an element of C
+plus a kernel vector supported below k, so w lies in v_k + S_k.  The kernel
+route's residual also lies in v_k + S_k, and both vanish at every pivot of
+S_k; their difference is an element of S_k that vanishes at every pivot,
+which is 0.  So the relations agree coefficient for coefficient.  After the
+last monomial the rows in the monomial block span (0 | K_n), so the kernel
 dimension is reached.
 
 The model converts to `RationalFunctionP1` only at its edges (generator
@@ -609,7 +612,7 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 vec = [0] * (dim + len(monos))
                 for expo, coeff in terms:
                     vec[dim + index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
-                found += span.add(vec)
+                found += span.add(vec) is not None
                 if found == full:
                     break
         if found < full:
@@ -619,18 +622,19 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 shift, coeffs, B = model.monomial_coords(e)
                 vec = piece.vector(coeffs, shift) + [0] * len(monos)
                 vec[dim + k] = B
-                res = span.reduce(vec)
-                if not any(res[:dim]):
-                    lead = next((i for i, c in enumerate(res) if c), None)
-                    if lead is None:
-                        continue
-                    inv = Fraction(1) / res[lead]
-                    terms = tuple((monos[i - dim], c * inv) for i, c in enumerate(res) if c)
-                    relations.append(Relation(n, terms))
-                    coeffs = primitive_multiple([c for _, c in terms])
-                    scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
-                    found += 1
-                span.add(res)
+                row = span.add(vec)
+                if row is None or any(row[:dim]):
+                    continue
+                nonzero = [(i, c) for i, c in enumerate(row[dim:]) if c]
+                h = nonzero[0][1]
+                if type(h) is int:
+                    terms = tuple((monos[i], Fraction(c, h)) for i, c in nonzero)
+                else:  # a pivot-one row
+                    terms = tuple((monos[i], c) for i, c in nonzero)
+                relations.append(Relation(n, terms))
+                coeffs = primitive_multiple([c for _, c in terms])
+                scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
+                found += 1
         new = [
             monos[p - dim] for p in span.pivots[span.rank - found:]
             if not any(_divides(g, monos[p - dim]) for g in leads)

@@ -228,6 +228,54 @@ class TestRingDivisorMode:
         assert json.loads(blob)["tomari"] == "1/2"
 
 
+class TestOutputBytes:
+    """The exact bytes a job writes, pinned as literals."""
+
+    def test_schema_error_bytes(self, tmp_path, capsys):
+        # a quote and a non-ASCII character in the message are escaped
+        job = {"divisor": [{"point": "0", "coeff": '1/2"\u00e9'}]}
+        assert main(["ring", "--input", write_job(tmp_path, job)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "{\n"
+            '  "error": {\n'
+            '    "kind": "schema",\n'
+            '    "message": "divisor[0].coeff: not a rational string: \'1/2\\"\\u00e9\'",\n'
+            '    "type": "SchemaError"\n'
+            "  }\n"
+            "}\n"
+        )
+
+    def test_domain_error_bytes(self, tmp_path, capsys):
+        job = {"curve": {"type": "p1"}, "divisor": []}
+        assert main(["ring", "--input", write_job(tmp_path, job)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "{\n"
+            '  "error": {\n'
+            '    "kind": "domain",\n'
+            '    "message": "divisor degree 0 is not positive",\n'
+            '    "type": "NotAmpleError"\n'
+            "  }\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, job",
+        [(["ring"], HALF_INTEGER_JOB), (["primes", "enumerate"], SCROLL_JOB)],
+    )
+    def test_output_file_has_the_stdout_bytes(self, tmp_path, capsys, argv, job):
+        path = write_job(tmp_path, job)
+        target = tmp_path / "out.json"
+        assert main(argv + ["--input", path]) == 0
+        stdout = capsys.readouterr().out
+        assert main(argv + ["--input", path, "--output", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+
 class TestRingWeightsMode:
     def test_weights_payload(self, tmp_path, capsys):
         job = {"weights": [4, 5, 6], "relation_degrees": [16]}

@@ -1,9 +1,10 @@
 """Round trips and rejection rules for the JSON layer."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsection.divisors import (
@@ -18,6 +19,7 @@ from qsection.elliptic import WeierstrassCurve
 from qsection.errors import SchemaError
 from qsection.exact_arith import NumberField
 from qsection.jsonio import (
+    format_json,
     parse_curve,
     parse_divisor,
     parse_function,
@@ -171,3 +173,40 @@ class TestHilbert:
             "numerator": [1, 0, 0, 0, 0, 0, -1],
             "denominator_exponents": [2, 2, 3],
         }
+
+
+# quotes, backslashes, control characters, non-ASCII (astral ones become
+# surrogate pairs) and a lone surrogate, next to arbitrary text
+SPECIAL = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800"]
+STRINGS = st.one_of(st.text(max_size=8), st.lists(st.sampled_from(SPECIAL), max_size=4).map("".join))
+LEAVES = st.one_of(
+    st.none(),
+    st.sampled_from([True, False, 0, 1]),
+    st.integers(),
+    st.integers(10**99, 10**100 - 1).flatmap(lambda n: st.sampled_from([n, -n])),
+    STRINGS,
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestFormatJson:
+    @given(PAYLOADS)
+    @example({"b": [], "a": {}, "c": (True, 1, False, 0, None), '"\\\x00\u00e9': -(10**99)})
+    @settings(max_examples=300)
+    def test_matches_the_indented_sorted_dump(self, obj):
+        assert format_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    def test_a_fraction_is_refused(self):
+        obj = {"coeff": [1, F(1, 2)]}
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            format_json(obj)

@@ -83,7 +83,15 @@ def test_span_matches_field_path(case, probe_case, data):
     probes = [v[:dim] + [F(0)] * (dim - len(v)) for v in probe_case[1]] + vecs[-2:]
     span, ref = SpanBuilder(dim), field_span(dim)
     for v in vecs:
-        assert span.add(v) == ref.add(v)
+        row, ref_row = span.add(v), ref.add(v)
+        assert (row is None) == (ref_row is None)
+        if row is not None:
+            # add returns the row it stored: a primitive int row here, whose
+            # division by its pivot entry is the reference's pivot-one row
+            assert any(r is row for r in span.rows)
+            p = next(i for i, x in enumerate(row) if x)
+            assert row[p] > 0 and all(type(x) is int for x in row)
+            assert [F(x, row[p]) for x in row] == ref_row
         assert span.pivots == ref.pivots
     assert span.rank == ref.rank
     if dim and data.draw(st.integers(0, 3)) == 0:
