@@ -299,7 +299,7 @@ def cmd_primes(args) -> dict:
         degree = _job_int(job, "degree")
         if "point" not in job:
             raise SchemaError("missing required key 'point'")
-        point = D.curve.lift_point(parse_point(job["point"], curve))
+        point = parse_point(job["point"], curve)
         cand = construct_prime(D, degree, point)
     model, windows = _model_for_oracle(D, (degree,), bound, oracle_bound)
     oracle = primality_oracle(model, cand, windows[degree])

@@ -5,6 +5,10 @@ Points carry exact coordinates; a divisor is pinned to one curve and mixing
 curves is a constructor error.  Entries are kept in a canonical order (finite
 points sorted by coordinate, then the point at infinity) so that equal
 divisors serialize identically.
+
+A point is checked where it enters, in the `QDivisor` constructor.  Derived
+divisors (`scale`, `-D`, `floor`, `D + E`) keep the checked points of their
+operands, so `QDivisor._checked` only drops zero coefficients and sorts.
 """
 
 from __future__ import annotations
@@ -84,9 +88,10 @@ def point_sort_key(pt: CurvePoint):
 
 
 class QDivisor:
-    """A formal sum of points with exact rational coefficients."""
+    """A formal sum of points with exact rational coefficients, in `entries`;
+    `coefficient_pairs` has the (numerator, denominator) of each of them."""
 
-    __slots__ = ("curve", "entries", "_map", "_pairs")
+    __slots__ = ("curve", "entries", "coefficient_pairs")
 
     def __init__(self, curve, entries):
         items = entries.items() if hasattr(entries, "items") else entries
@@ -97,15 +102,20 @@ class QDivisor:
             if not curve.contains(lifted):
                 raise MixedCurveError(f"{pt!r} does not lie on {curve!r}")
             merged[lifted] = merged.get(lifted, Fraction(0)) + c
-        cleaned = tuple(
-            sorted(
-                ((pt, c) for pt, c in merged.items() if c != 0),
-                key=lambda item: point_sort_key(item[0]),
-            )
-        )
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "entries", cleaned)
-        object.__setattr__(self, "_map", dict(cleaned))
+        self._set(curve, merged.items())
+
+    @classmethod
+    def _checked(cls, curve, entries) -> "QDivisor":
+        """The divisor of (point, Fraction) pairs with distinct lifted points on the curve."""
+        D = cls.__new__(cls)
+        D._set(curve, entries)
+        return D
+
+    def _set(self, curve, entries) -> None:
+        self.curve = curve
+        items = sorted(entries, key=lambda item: point_sort_key(item[0]))
+        self.entries = tuple((pt, c) for pt, c in items if c)
+        self.coefficient_pairs = tuple((c.numerator, c.denominator) for _, c in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, QDivisor):
@@ -121,47 +131,32 @@ class QDivisor:
         parts = [f"{c}*{pt!r}" for pt, c in self.entries]
         return f"QDivisor({' + '.join(parts)})"
 
-    @property
-    def coefficient_pairs(self) -> tuple:
-        """(numerator, denominator) of each coefficient, in entry order.
-
-        Read from the Fractions once per divisor, for loops that evaluate
-        floors of multiples of the coefficients in integer arithmetic.
-        """
-        try:
-            return self._pairs
-        except AttributeError:
-            self._pairs = tuple((c.numerator, c.denominator) for _, c in self.entries)
-            return self._pairs
-
     def points(self) -> tuple:
         return tuple(pt for pt, _ in self.entries)
 
     def coeff(self, pt: CurvePoint) -> Fraction:
-        return self._map.get(self.curve.lift_point(pt), Fraction(0))
+        return dict(self.entries).get(self.curve.lift_point(pt), Fraction(0))
 
     def degree(self) -> Fraction:
         return sum((c for _, c in self.entries), Fraction(0))
 
     def floor(self) -> "QDivisor":
-        return QDivisor(self.curve, {pt: Fraction(math.floor(c)) for pt, c in self.entries})
+        floors = [(pt, Fraction(math.floor(c))) for pt, c in self.entries]
+        return QDivisor._checked(self.curve, floors)
 
     def scale(self, r) -> "QDivisor":
         r = rational(r)
-        return QDivisor(self.curve, {pt: c * r for pt, c in self.entries})
-
-    def _check_same_curve(self, other: "QDivisor"):
-        if self.curve != other.curve:
-            raise MixedCurveError("divisors live on different curves")
+        return QDivisor._checked(self.curve, [(pt, c * r) for pt, c in self.entries])
 
     def __add__(self, other):
         if not isinstance(other, QDivisor):
             return NotImplemented
-        self._check_same_curve(other)
-        merged = {pt: c for pt, c in self.entries}
+        if self.curve != other.curve:
+            raise MixedCurveError("divisors live on different curves")
+        merged = dict(self.entries)
         for pt, c in other.entries:
             merged[pt] = merged.get(pt, Fraction(0)) + c
-        return QDivisor(self.curve, merged)
+        return QDivisor._checked(self.curve, merged.items())
 
     def __sub__(self, other):
         if not isinstance(other, QDivisor):
@@ -169,7 +164,7 @@ class QDivisor:
         return self + (-other)
 
     def __neg__(self):
-        return QDivisor(self.curve, {pt: -c for pt, c in self.entries})
+        return QDivisor._checked(self.curve, [(pt, -c) for pt, c in self.entries])
 
     def fractional_support(self) -> frozenset:
         return frozenset(pt for pt, c in self.entries if c.denominator != 1)

@@ -8,6 +8,10 @@ int may meet a division, write `Fraction(1) / x`, since `1 / x` would give
 a float.  All arithmetic is exact; no floating point enters any
 computation.  The zero polynomial has degree -1, so degree comparisons stay
 in the integers.
+
+A number-field product is reduced by folding with the monic modulus m of
+degree k: from the top, y^i = y^(i-k) * (y^k - m(y)) for each i >= k, in
+place on the coordinate list, with no `Poly`.
 """
 
 from __future__ import annotations
@@ -239,15 +243,15 @@ class NumberField:
     def degree(self) -> int:
         return len(self.min_poly) - 1
 
-    def modulus(self) -> Poly:
-        return Poly(tuple(Fraction(c) for c in self.min_poly))
-
     def element(self, coords) -> "NumberFieldElem":
         cs = [rational(c) for c in coords]
-        if len(cs) > self.degree:
-            rem = poly_divrem(Poly(cs), self.modulus())[1]
-            cs = list(rem.coeffs)
-        cs += [Fraction(0)] * (self.degree - len(cs))
+        k = self.degree
+        while len(cs) > k:  # fold the top power (module docstring)
+            c = cs.pop()
+            if c:
+                for j, m in enumerate(self.min_poly[:k], len(cs) - k):
+                    cs[j] -= c * m
+        cs += [Fraction(0)] * (k - len(cs))
         return NumberFieldElem(self, tuple(cs))
 
     def from_rational(self, q) -> "NumberFieldElem":
@@ -322,13 +326,13 @@ class NumberFieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return NumberFieldElem(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -358,7 +362,7 @@ class NumberFieldElem:
     def inverse(self) -> "NumberFieldElem":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = poly_xgcd(Poly(self.coords), self.field.modulus())
+        g, u, _ = poly_xgcd(Poly(self.coords), Poly(self.field.min_poly))
         if g.degree != 0:
             raise ReducibleModulusError(
                 f"declared modulus shares the factor {g!r} with {self!r}"

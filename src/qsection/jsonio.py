@@ -258,10 +258,8 @@ def parse_divisor(obj, curve, path: str = "divisor") -> QDivisor:
         if pt in entries:
             _fail(f"{here}.point", "duplicate point in divisor")
         entries[pt] = parse_rational(item["coeff"], f"{here}.coeff")
-    try:
-        return QDivisor(curve, entries)
-    except Exception as exc:
-        _fail(path, str(exc))
+    # parse_point has lifted each point and checked it on the curve
+    return QDivisor._checked(curve, entries.items())
 
 
 def serialize_divisor(D: QDivisor):

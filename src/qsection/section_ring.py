@@ -183,7 +183,7 @@ from .errors import (
     PoleOrderMismatchError,
 )
 from .exact_arith import Poly, convolve, poly_divrem
-from .linalg import SpanBuilder, primitive_multiple
+from .linalg import SpanBuilder
 from .p1 import RationalFunctionP1, _as_poly, _h0_element, _h0_factors, _linear_factor
 
 
@@ -590,7 +590,8 @@ def find_relations(model: SectionRing) -> list[Relation]:
         return out
 
     relations: list[Relation] = []
-    # (degree, terms with a primitive multiple of the coefficients) per relation
+    # (degree, terms of the stored row) per relation: a multiple of the relation,
+    # and a multiple of a vector changes no stored row
     scaled_terms: list[tuple[int, list]] = []
     leads: list[tuple] = []  # minimal generators of the learned leading monomials
     numerator = [1] + [0] * (size - 1)
@@ -632,8 +633,7 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 else:  # a pivot-one row
                     terms = tuple((monos[i], c) for i, c in nonzero)
                 relations.append(Relation(n, terms))
-                coeffs = primitive_multiple([c for _, c in terms])
-                scaled_terms.append((n, [(e, c) for (e, _), c in zip(terms, coeffs)]))
+                scaled_terms.append((n, [(monos[i], c) for i, c in nonzero]))
                 found += 1
         new = [
             monos[p - dim] for p in span.pivots[span.rank - found:]

@@ -263,6 +263,50 @@ class TestOutputBytes:
         )
 
     @pytest.mark.parametrize(
+        "argv, job, message",
+        [
+            (
+                ["ec", "verdict"],
+                {
+                    "curve": {"type": "weierstrass", "a": 0, "b": 1},
+                    "divisor": [{"point": {"xy": [1, 1]}, "coeff": 1}],
+                    "degree": 1,
+                },
+                "divisor[0].point: {'xy': [1, 1]} does not lie on the declared curve",
+            ),
+            (
+                ["ring"],
+                {"divisor": [{"point": "1/2", "coeff": "1/3"}, {"point": "2/4", "coeff": 1}]},
+                "divisor[1].point: duplicate point in divisor",
+            ),
+            (
+                ["ring"],
+                {"divisor": [{"point": "O", "coeff": 1}]},
+                "divisor[0].point: ECOrigin() is not a point of the projective line",
+            ),
+            (
+                ["ring"],
+                {"divisor": [{"point": {"nf": [0, 1]}, "coeff": 1}]},
+                "divisor[0].point: number-field scalar given but no field is declared",
+            ),
+        ],
+        ids=["off-curve", "duplicate", "origin-on-line", "undeclared-field"],
+    )
+    def test_divisor_refusal_bytes(self, tmp_path, capsys, argv, job, message):
+        assert main(argv + ["--input", write_job(tmp_path, job)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "{\n"
+            '  "error": {\n'
+            '    "kind": "schema",\n'
+            f'    "message": "{message}",\n'
+            '    "type": "SchemaError"\n'
+            "  }\n"
+            "}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, job",
         [(["ring"], HALF_INTEGER_JOB), (["primes", "enumerate"], SCROLL_JOB)],
     )

@@ -1,8 +1,11 @@
 """Q-divisors: construction, floor, scaling, support, canonical order."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsection.divisors import (
     EC_ORIGIN,
@@ -13,6 +16,8 @@ from qsection.divisors import (
 )
 from qsection.errors import MixedCurveError
 from qsection.exact_arith import NumberField
+from qsection.jsonio import parse_divisor, serialize_point, serialize_rational
+import test_elliptic as ec
 
 P1 = ProjectiveLine()
 
@@ -112,3 +117,71 @@ class TestPredicates:
         assert d({FiniteP1(4): 2}).single_point() is None
         assert d({FiniteP1(4): 1, FiniteP1(5): 1}).single_point() is None
         assert d({}).single_point() is None
+
+
+SQRT2 = NumberField((-2, 0, 1))
+SQRT2_LINE = ProjectiveLine(SQRT2)
+EC_FIXTURES = [
+    (ec.E_CUBE, [EC_ORIGIN, ec.P1, ec.P2, ec.P3]),
+    (ec.E_GAUSS, [EC_ORIGIN, ec.Q1, ec.Q2]),
+    (ec.E_SIX, ec.SIX_TORSION),
+]
+coords = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def curve_points(draw):
+    """A curve with a few of its points: the line over Q, the line over
+    Q(sqrt 2) with rational points (lifted by the constructor) and the point
+    sqrt 2 + c, or a Weierstrass curve with torsion points."""
+    kind = draw(st.sampled_from(["Q", "sqrt2", "weierstrass"]))
+    if kind == "weierstrass":
+        return draw(st.sampled_from(EC_FIXTURES))
+    finite = [FiniteP1(c) for c in draw(st.lists(coords, min_size=1, max_size=4, unique=True))]
+    if kind == "Q":
+        return P1, finite + [P1_INFINITY]
+    return SQRT2_LINE, finite + [FiniteP1(SQRT2.gen() + draw(coords)), P1_INFINITY]
+
+
+def entry_lists(points):
+    """(point, coefficient) lists; points may repeat and coefficients vanish."""
+    return st.lists(st.tuples(st.sampled_from(points), coeffs), max_size=6)
+
+
+def assert_canonical(D, curve, values):
+    """D is what the validating constructor makes of the (point, value)
+    pairs, and its coefficient pairs are read off its entries."""
+    assert D == QDivisor(curve, values)
+    assert D.coefficient_pairs == tuple((c.numerator, c.denominator) for _, c in D.entries)
+
+
+class TestDerivedDivisors:
+    """Divisors built from canonical ones skip the constructor's checks; the
+    constructor is the reference for each of them."""
+
+    @given(st.data())
+    def test_derived_divisors_match_the_constructor(self, data):
+        curve, points = data.draw(curve_points())
+        D = QDivisor(curve, data.draw(entry_lists(points)))
+        E = QDivisor(curve, data.draw(entry_lists(points)))
+        assert_canonical(D, curve, D.entries)
+        negative = data.draw(st.integers(-5, -1))
+        fractional = data.draw(coeffs.filter(lambda r: r.denominator > 1))
+        for r in (0, negative, fractional):
+            assert_canonical(D.scale(r), curve, [(pt, c * r) for pt, c in D.entries])
+        assert_canonical(-D, curve, [(pt, -c) for pt, c in D.entries])
+        assert_canonical(D.floor(), curve, [(pt, math.floor(c)) for pt, c in D.entries])
+        assert_canonical(D + E, curve, D.entries + E.entries)
+        assert_canonical(D - E, curve, D.entries + tuple((pt, -c) for pt, c in E.entries))
+
+    @given(st.data())
+    def test_parse_divisor_matches_the_constructor(self, data):
+        curve, points = data.draw(curve_points())
+        chosen = data.draw(st.lists(st.sampled_from(points), unique=True, max_size=len(points)))
+        entries = [(pt, data.draw(coeffs)) for pt in chosen]
+        obj = [
+            {"point": serialize_point(pt), "coeff": serialize_rational(c)}
+            for pt, c in data.draw(st.permutations(entries))
+        ]
+        assert parse_divisor(obj, curve) == QDivisor(curve, entries)

@@ -188,3 +188,52 @@ def test_divrem_reconstructs(ca, cb):
     q, r = poly_divrem(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
+
+
+def reference_coords(K: NumberField, cs) -> tuple:
+    """The reduction by long division: the remainder of sum cs[i]*y^i by the
+    modulus, padded to the degree of the field."""
+    rem = poly_divrem(Poly(cs), Poly(K.min_poly))[1].coeffs
+    return tuple(rem) + (F(0),) * (K.degree - len(rem))
+
+
+def moduli():
+    """Monic integer moduli of degree 1 to 4; y^2 - 1 is reducible."""
+    drawn = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(lambda low: (*low, 1))
+    return st.one_of(st.just((-1, 0, 1)), drawn)
+
+
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+class TestFold:
+    """`NumberField.element` folds by the monic modulus; long division by the
+    modulus is the reference."""
+
+    @given(st.data())
+    def test_element_matches_long_division(self, data):
+        K = NumberField(data.draw(moduli()))
+        cs = data.draw(st.lists(rationals, max_size=2 * K.degree + 1))
+        coords = K.element(cs).coords
+        assert coords == reference_coords(K, cs)
+        assert all(type(c) is F for c in coords)
+
+    def test_reducible_modulus_folds(self):
+        K = NumberField((-1, 0, 1))      # y^2 = 1
+        assert K.element([1, 2, 3, 4, 5]).coords == (F(9), F(6))
+        assert K.element([1, 2, 3, 4, 5]).coords == reference_coords(K, [1, 2, 3, 4, 5])
+
+    @given(st.data())
+    def test_subtraction_adds_the_negative(self, data):
+        K = NumberField(data.draw(moduli()))
+        a, b = (
+            K.element(data.draw(st.lists(rationals, max_size=K.degree)))
+            for _ in range(2)
+        )
+        q = F(data.draw(rationals))
+        assert (a - b).coords == (a + (-b)).coords
+        assert (a - q).coords == (a + (-q)).coords
+        assert (q - a).coords == (q + (-a)).coords
