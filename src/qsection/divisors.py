@@ -6,9 +6,10 @@ curves is a constructor error.  Entries are kept in a canonical order (finite
 points sorted by coordinate, then the point at infinity) so that equal
 divisors serialize identically.
 
-A point is checked where it enters, in the `QDivisor` constructor.  Derived
-divisors (`scale`, `-D`, `floor`, `D + E`) keep the checked points of their
-operands, so `QDivisor._checked` only drops zero coefficients and sorts.
+A point is checked where it enters: the `QDivisor` constructor or
+`jsonio.parse_point`.  Derived divisors (`scale`, `-D`, `floor`, `D + E`),
+those `prime_elements` constructs and `p1.divisor_of` hold checked points,
+so `QDivisor._checked` builds them: it only drops zeros and sorts.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ divisor is linearly equivalent to exactly one point, namely its group-law
 sum.  That makes the prime-existence question for a graded piece a finite
 computation: d*D must be an integral divisor of degree one, its group-law
 sum P is the only candidate point, and the construction succeeds exactly
-when P avoids the fractional support of D.
+when P avoids the fractional support of D.  The public `ec_add`,
+`ec_negate` and `ec_multiply` check their points; the law `_add`, the
+multiple `_multiple` and `ec_divisor_sum` run on points checked there or
+when a divisor was built, or computed by the law, and check nothing again.
 """
 
 from __future__ import annotations
@@ -55,14 +58,12 @@ class WeierstrassCurve:
         raise MixedCurveError(f"{pt!r} is not a point of a Weierstrass curve")
 
     def contains(self, pt: CurvePoint) -> bool:
-        if isinstance(pt, ECOrigin):
-            return True
-        if not isinstance(pt, ECAffine):
-            return False
         try:
             pt = self.lift_point(pt)
         except MixedCurveError:
             return False
+        if isinstance(pt, ECOrigin):
+            return True
         x, y = pt.x, pt.y
         return y * y == x * x * x + self.a * x + self.b
 
@@ -74,17 +75,12 @@ def _require_on_curve(curve: WeierstrassCurve, pt: CurvePoint) -> CurvePoint:
     return pt
 
 
-def ec_negate(curve: WeierstrassCurve, pt: CurvePoint) -> CurvePoint:
-    pt = _require_on_curve(curve, pt)
-    if isinstance(pt, ECOrigin):
-        return EC_ORIGIN
-    return ECAffine(pt.x, -pt.y)
+def _negate(pt: CurvePoint) -> CurvePoint:
+    return pt if isinstance(pt, ECOrigin) else ECAffine(pt.x, -pt.y)
 
 
-def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
-    """Chord-tangent addition with the origin as identity."""
-    p = _require_on_curve(curve, p)
-    q = _require_on_curve(curve, q)
+def _add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    """Chord-tangent addition of checked points, with the origin as identity."""
     if isinstance(p, ECOrigin):
         return q
     if isinstance(q, ECOrigin):
@@ -100,20 +96,32 @@ def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     return ECAffine(x3, y3)
 
 
-def ec_multiply(curve: WeierstrassCurve, n: int, pt: CurvePoint) -> CurvePoint:
-    """The n-fold group-law multiple of a point, by doubling."""
-    pt = _require_on_curve(curve, pt)
+def _multiple(curve: WeierstrassCurve, n: int, pt: CurvePoint) -> CurvePoint:
+    """The n-fold multiple of a checked point, by doubling."""
     if n < 0:
-        return ec_multiply(curve, -n, ec_negate(curve, pt))
+        n, pt = -n, _negate(pt)
     acc: CurvePoint = EC_ORIGIN
-    base = pt
     while n:
         if n & 1:
-            acc = ec_add(curve, acc, base)
+            acc = _add(curve, acc, pt)
         n >>= 1
         if n:
-            base = ec_add(curve, base, base)
+            pt = _add(curve, pt, pt)
     return acc
+
+
+def ec_negate(curve: WeierstrassCurve, pt: CurvePoint) -> CurvePoint:
+    return _negate(_require_on_curve(curve, pt))
+
+
+def ec_add(curve: WeierstrassCurve, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+    """Chord-tangent addition with the origin as identity."""
+    return _add(curve, _require_on_curve(curve, p), _require_on_curve(curve, q))
+
+
+def ec_multiply(curve: WeierstrassCurve, n: int, pt: CurvePoint) -> CurvePoint:
+    """The n-fold group-law multiple of a point, by doubling."""
+    return _multiple(curve, n, _require_on_curve(curve, pt))
 
 
 def ec_divisor_sum(D: QDivisor) -> CurvePoint:
@@ -124,7 +132,7 @@ def ec_divisor_sum(D: QDivisor) -> CurvePoint:
         raise ValueError("the group-law sum is defined for integral divisors")
     acc: CurvePoint = EC_ORIGIN
     for pt, coeff in D.entries:
-        acc = ec_add(D.curve, acc, ec_multiply(D.curve, int(coeff), pt))
+        acc = _add(D.curve, acc, _multiple(D.curve, int(coeff), pt))
     return acc
 
 

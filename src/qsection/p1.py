@@ -195,15 +195,11 @@ def divisor_of(g: RationalFunctionP1, curve: ProjectiveLine | None = None) -> QD
             raise IrrationalZerosError(
                 f"a degree-{res.degree} factor has no rational zeros: {res!r}"
             )
-    entries: dict = {}
-    for r, m in zeros.items():
-        entries[FiniteP1(r)] = entries.get(FiniteP1(r), 0) + m
-    for r, m in poles.items():
-        entries[FiniteP1(r)] = entries.get(FiniteP1(r), 0) - m
-    inf_ord = g.denom.degree - g.numer.degree
-    if inf_ord:
-        entries[P1_INFINITY] = inf_ord
-    return QDivisor(curve, entries)
+    # g is reduced, so its zeros and poles lie at distinct points
+    orders = [*zeros.items(), *((r, -m) for r, m in poles.items())]
+    entries = [(curve.lift_point(FiniteP1(r)), Fraction(m)) for r, m in orders]
+    entries.append((P1_INFINITY, Fraction(g.denom.degree - g.numer.degree)))
+    return QDivisor._checked(curve, entries)
 
 
 def _linear_factor(x) -> tuple[list, int]:

@@ -349,7 +349,7 @@ def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int
 def _constructed(sdD: QDivisor, d: int, s: int, point: CurvePoint) -> PrimeCandidate:
     """The candidate of degree d whose function has divisor A = (P - sdD)/s,
     for the point P and sdD = s*d*D, with A."""
-    A = QDivisor(sdD.curve, [(point, Fraction(1, s)), *((q, -c / s) for q, c in sdD.entries)])
+    A = QDivisor._checked(sdD.curve, [(point, Fraction(1, s))]) + sdD.scale(Fraction(-1, s))
     return PrimeCandidate(principal_function(A), d, A)
 
 

@@ -276,20 +276,15 @@ class Piece:
         return [0] * shift + list(coeffs) + [0] * pad
 
     def coords(self, f: RationalFunctionP1):
-        """Coordinates of f in this piece's basis, or None if f is no member."""
+        """Coordinates of f in this piece's basis, or None if f is no member:
+        numer and denom are coprime, so denom * mand divides numer * den just
+        when denom divides den and mand divides numer * (den / denom), and the
+        quotient, of degree at most the cap, is the coordinate polynomial."""
         if f.is_zero:
             return [Fraction(0)] * self.dim
-        if self.dim == 0:
-            return None
         den, mand = self._rr()
-        cofactor, rem = poly_divrem(den, f.denom)
-        if not rem.is_zero:
-            return None
-        h = f.numer * cofactor
-        p, rem = poly_divrem(h, mand)
-        if not rem.is_zero:
-            return None
-        if p.degree > self._cap:
+        p, rem = poly_divrem(f.numer * den, f.denom * mand)
+        if not rem.is_zero or p.degree > self._cap:
             return None
         return self.vector(p.coeffs)
 

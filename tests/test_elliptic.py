@@ -48,6 +48,17 @@ SIX_TORSION = [
     ECAffine(F(2), F(-3)),
 ]
 
+# y^2 = x^3 - 2 over Q: (3, 5) has infinite order, so its multiples grow
+E_TWO = WeierstrassCurve(0, -2)
+R = ECAffine(F(3), F(5))
+
+FIXTURES = [
+    (E_CUBE, [EC_ORIGIN, P1, P2, P3]),
+    (E_GAUSS, [EC_ORIGIN, Q1, Q2]),
+    (E_SIX, SIX_TORSION),
+    (E_TWO, [EC_ORIGIN, R]),
+]
+
 
 class TestCurve:
     def test_singular_rejected(self):
@@ -70,6 +81,12 @@ class TestCurve:
         assert E_CUBE.contains(P2)
         assert E_CUBE.contains(P3)
         assert E_GAUSS.contains(Q1)
+
+    def test_contains_refuses_a_point_of_an_undeclared_field(self):
+        # contains lifts its argument: field arithmetic alone would evaluate
+        # a Q(theta) point on a rational curve instead of refusing it
+        assert not E_SIX.contains(P2)
+        assert not E_GAUSS.contains(P2)
 
     def test_line_point_rejected(self):
         with pytest.raises(MixedCurveError):
@@ -134,6 +151,57 @@ class TestGroupLaw:
         lhs = ec_add(E_SIX, ec_add(E_SIX, a, b), c)
         rhs = ec_add(E_SIX, a, ec_add(E_SIX, b, c))
         assert lhs == rhs
+
+
+PUBLIC_CALLS = {
+    "negate": lambda pt: ec_negate(E_SIX, pt),
+    "multiply-0": lambda pt: ec_multiply(E_SIX, 0, pt),
+    "multiply-2": lambda pt: ec_multiply(E_SIX, 2, pt),
+    "multiply-minus-3": lambda pt: ec_multiply(E_SIX, -3, pt),
+    "add": lambda pt: ec_add(E_SIX, pt, T),
+}
+
+
+@pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
+class TestPublicCallsCheckTheirPoints:
+    def test_off_curve_point_rejected(self, call):
+        with pytest.raises(ValueError, match="does not satisfy the curve equation"):
+            call(ECAffine(F(1), F(1)))
+
+    def test_line_point_rejected(self, call):
+        with pytest.raises(MixedCurveError):
+            call(FiniteP1(F(0)))
+
+
+def checked_multiple(curve, n, pt):
+    """n * pt as a chain of |n| public additions of pt or of its public
+    negative, each of which checks its operands."""
+    step = pt if n >= 0 else ec_negate(curve, pt)
+    acc = EC_ORIGIN
+    for _ in range(abs(n)):
+        acc = ec_add(curve, acc, step)
+    return acc
+
+
+class TestGroupLawAgainstCheckedChain:
+    """`ec_multiply` and `ec_divisor_sum` run the unchecked law on checked
+    points; the chain of checked public additions is the reference."""
+
+    @pytest.mark.parametrize("curve, points", FIXTURES)
+    def test_multiples(self, curve, points):
+        for pt in points:
+            for n in range(-7, 8):
+                assert ec_multiply(curve, n, pt) == checked_multiple(curve, n, pt)
+
+    @given(st.data())
+    def test_divisor_sums(self, data):
+        curve, points = data.draw(st.sampled_from(FIXTURES))
+        pairs = st.tuples(st.sampled_from(points), st.integers(-7, 7))
+        D = QDivisor(curve, data.draw(st.lists(pairs, max_size=4)))
+        expected = EC_ORIGIN
+        for pt, c in D.entries:
+            expected = ec_add(curve, expected, checked_multiple(curve, int(c), pt))
+        assert ec_divisor_sum(D) == expected
 
 
 class TestPrincipality:

@@ -87,6 +87,38 @@ class TestDivisorOf:
             divisor_of(rf((0,)))
 
 
+SQRT2_LINE = ProjectiveLine(NumberField((-2, 0, 1)))
+
+
+@st.composite
+def factored_functions(draw):
+    """(curve, g, orders): g = c * prod (w - r)^m over distinct rational roots
+    r (0 among them, as w), with 1 <= |m| <= 3, on the line over Q or over
+    Q(sqrt 2); orders holds the order of g at each root."""
+    curve = draw(st.sampled_from([P1, SQRT2_LINE]))
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=4), max_size=4, unique=True))
+    orders = {r: draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])) for r in roots}
+    g = RationalFunctionP1(Poly([draw(st.fractions(-5, 5).filter(bool))]))
+    for r, m in orders.items():
+        g = g * RationalFunctionP1(Poly([-r, F(1)])) ** m
+    return curve, g, orders
+
+
+class TestDivisorOfMatchesConstructor:
+    """`divisor_of` builds its divisor without the constructor's checks; the
+    validating constructor on the roots and their orders is the reference."""
+
+    @given(factored_functions())
+    @settings(max_examples=200)
+    def test_divisor_of_equals_the_constructor(self, drawn):
+        curve, g, orders = drawn
+        entries = {FiniteP1(r): m for r, m in orders.items()}
+        entries[P1_INFINITY] = -sum(orders.values())
+        got, expected = divisor_of(g, curve), QDivisor(curve, entries)
+        # a lifted coordinate equals its rational, so compare the reprs too
+        assert (got, repr(got)) == (expected, repr(expected))
+
+
 class TestRRBasis:
     def test_dimension_matches_degree(self):
         E = d({FiniteP1(0): 2, FiniteP1(1): 1, P1_INFINITY: -1})

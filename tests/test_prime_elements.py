@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
+from qsection.divisors import ECAffine, FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection import prime_elements
+from qsection.elliptic import WeierstrassCurve
 from qsection.errors import (
     BoundTooSmallError,
     BoundTooSmallWarning,
@@ -473,6 +474,55 @@ class TestConstructedPrimes:
             model, windows = _model_for_oracle(D, [N], None, None)
         assume(primality_oracle(model, cand, windows[N]).is_prime)
         assert quotient_profile(model, cand).s == 1
+
+
+@st.composite
+def merged_constructions(draw):
+    """D = k [2] + a/N [0] + b/N [1] + (1 - a - b - N k)/N [inf] of degree
+    1/N on the line over Q or Q(sqrt 2), and a point P outside its
+    fractional support; P = 2 with k != 0 lies in the integral support, and
+    for N = 1 the constructed divisor can vanish there."""
+    N = draw(st.sampled_from([1, 2, 3, 4]))
+    k, a, b = (draw(st.integers(-2, 2)) for _ in range(3))
+    curve = draw(st.sampled_from([P1, ProjectiveLine(Q_SQRT2)]))
+    D = QDivisor(curve, {FiniteP1(2): k, FiniteP1(0): F(a, N), FiniteP1(1): F(b, N),
+                         P1_INFINITY: F(1 - a - b - N * k, N)})
+    points = [FiniteP1(F(c)) for c in range(6)] + [P1_INFINITY]
+    if curve.field is not None:
+        points.append(FiniteP1(SQRT2))
+    point = curve.lift_point(draw(st.sampled_from(points)))
+    assume(point not in D.fractional_support())
+    return D, N, point
+
+
+class TestConstructedDivisors:
+    """The prime layer builds the divisor (P - s*d*D)/s without the
+    constructor's checks; the validating constructor is the reference."""
+
+    @given(merged_constructions())
+    @settings(max_examples=200)
+    def test_construct_prime_divisor_equals_the_constructor(self, drawn):
+        D, N, point = drawn
+        cand = construct_prime(D, N, point)
+        dD = D.scale(N)
+        assert cand.divisor == QDivisor(D.curve, [(point, 1), *((q, -c) for q, c in dD.entries)])
+
+    def test_enumerated_generator_divisors_equal_the_constructor(self):
+        ND = D_42.scale(42)
+        unique = [v for v in enumerate_primes(D_42) if v.kind == "unique"]
+        assert sorted(v.s for v in unique) == [2, 3, 7]
+        for v in unique:
+            A = QDivisor(P1, [(v.point, F(1, v.s)), *((q, -c / v.s) for q, c in ND.entries)])
+            assert v.generator_divisor == A
+
+    def test_off_curve_weierstrass_point_refused_by_the_h0_step(self):
+        """A Weierstrass point never reaches the constructor: the line-only
+        H0 step refuses it, on the curve or off it."""
+        curve = WeierstrassCurve(0, 1)
+        D = QDivisor(curve, {ECAffine(F(2), F(3)): 1})
+        for point in (ECAffine(F(0), F(1)), ECAffine(F(1), F(1))):
+            with pytest.raises(ValueError, match="projective line"):
+                construct_prime(D, 1, point)
 
 
 class TestEnumerate:

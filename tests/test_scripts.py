@@ -3,7 +3,14 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from qsection.cli import main
+from qsection.divisors import QDivisor
+from qsection.elliptic import WeierstrassCurve
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,3 +34,43 @@ def test_all_examples_match_goldens():
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 15
     assert all(line.startswith("ok ") for line in lines)
+
+
+def manifest():
+    with open(SCRIPTS / "manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)["examples"]
+
+
+def weierstrass_points(job: dict) -> int:
+    """How many points a job writes on a Weierstrass curve."""
+    if job.get("curve", {}).get("type") != "weierstrass":
+        return 0
+    return len(job.get("divisor", [])) + ("point" in job)
+
+
+def counting(calls: Counter, name: str, method):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("entry", manifest(), ids=lambda e: e["name"])
+def test_each_point_is_checked_once_where_it_enters(entry, tmp_path, monkeypatch):
+    """Past the parse, no layer re-validates: the validating `QDivisor`
+    constructor never runs, and the curve equation is tested once per
+    point the job writes (the group law trusts the points it computes)."""
+    calls = Counter()
+    monkeypatch.setattr(QDivisor, "__init__", counting(calls, "init", QDivisor.__init__))
+    monkeypatch.setattr(
+        WeierstrassCurve, "contains", counting(calls, "contains", WeierstrassCurve.contains)
+    )
+    job = SCRIPTS / "jobs" / f"{entry['name']}.json"
+    out = tmp_path / "out.json"
+    assert main(entry["argv"] + ["--input", str(job), "--output", str(out)]) == 0
+    assert out.read_bytes() == (SCRIPTS / "golden" / f"{entry['name']}.json").read_bytes()
+    assert calls["init"] == 0
+    points = weierstrass_points(json.loads(job.read_text(encoding="utf-8")))
+    assert calls["contains"] == points
+    assert points == {"two_torsion_verdict": 4, "three_torsion_verdict": 3}.get(entry["name"], 0)

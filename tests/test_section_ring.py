@@ -24,7 +24,7 @@ from qsection.errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from qsection.exact_arith import NumberField, NumberFieldElem, Poly
+from qsection.exact_arith import NumberField, NumberFieldElem, Poly, poly_divrem
 from qsection.linalg import SpanBuilder, primitive_multiple
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
@@ -387,6 +387,67 @@ class TestBasisFunctions:
         assert piece.basis == tuple(rr_basis(floor))
         for f in piece.basis:
             assert RationalFunctionP1(f.numer, f.denom) == f
+
+
+def reference_coords(piece, f):
+    """Coordinates of f by the two-step cofactor route: den / f.denom must
+    be exact, and then f.numer * cofactor / mand."""
+    if f.is_zero:
+        return [F(0)] * piece.dim
+    if piece.dim == 0:
+        return None
+    den, mand = piece._rr()
+    cofactor, rem = poly_divrem(den, f.denom)
+    if not rem.is_zero:
+        return None
+    p, rem = poly_divrem(f.numer * cofactor, mand)
+    if not rem.is_zero or p.degree > piece._cap:
+        return None
+    return piece.vector(p.coeffs)
+
+
+small_ints = st.lists(st.integers(-4, 4), max_size=8)
+
+
+class TestCoordsAgainstCofactorRoute:
+    """`Piece.coords` decides membership by one exact division; the
+    two-step cofactor route is the reference."""
+
+    @given(small_pieces(), st.integers(0, 6), small_ints, small_ints)
+    @settings(max_examples=200)
+    def test_products_of_sections_are_members(self, piece, a, qa, qb):
+        D, n = piece.divisor, piece.degree_t
+        a = min(a, n)
+        fa = Piece(D, a).function(Poly(qa[: Piece(D, a).dim]))
+        fb = Piece(D, n - a).function(Poly(qb[: Piece(D, n - a).dim]))
+        f = fa * fb
+        assert piece.coords(f) == reference_coords(piece, f)
+        if not f.is_zero:
+            assert piece.coords(f) is not None
+
+    @given(small_pieces(), small_ints)
+    @settings(max_examples=200)
+    def test_non_members_and_zero(self, piece, q):
+        assume(piece.dim > 0)
+        f = piece.function(Poly(q[: piece.dim - 1] + [1]))           # a nonzero member
+        pole = RationalFunctionP1(Poly.one(), Poly([F(-7), F(1)]))   # 1/(w - 7)
+        past_cap = piece.function(Poly.variable() ** (piece.dim))    # degree cap + 1
+        for g in (f * pole, past_cap, rf((0,))):
+            assert piece.coords(g) == reference_coords(piece, g)
+        assert piece.coords(f * pole) is None
+        assert piece.coords(past_cap) is None
+        assert piece.coords(rf((0,))) == [0] * piece.dim
+
+    @pytest.mark.parametrize("curve", [P1, ProjectiveLine(Q_SQRT2)], ids=["Q", "Q(sqrt 2)"])
+    @pytest.mark.parametrize("D", [D_HALF, D_SCROLL, D_42], ids=["half", "scroll", "42"])
+    def test_fixture_bases_and_their_neighbours(self, curve, D):
+        D = QDivisor(curve, D.entries)
+        pole = rf((1,), (-3, 1))                                      # 1/(w - 3)
+        for n in range(8):
+            piece = Piece(D, n)
+            for g in (*piece.basis, piece.function(Poly.variable() ** piece.dim)):
+                for h in (g, g * pole):
+                    assert piece.coords(h) == reference_coords(piece, h)
 
 
 small_coefficients = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
