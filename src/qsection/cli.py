@@ -79,7 +79,7 @@ def _load_job(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
     try:
         job = json.loads(text)
@@ -477,8 +477,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit_payload(payload: dict, output: str | None):
     text = format_json(payload) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

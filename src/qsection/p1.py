@@ -133,10 +133,10 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     work = Poly(coeffs)
     if work.degree <= 0:
         return roots, work
-    scale = 1
-    for c in coeffs:
-        scale = math.lcm(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)  # a constant factor must not widen the search
+    ints = [c // content for c in ints]
     lead = abs(ints[-1])
     const = ints[0]
     # candidates p/q in lowest terms, q > 0; q divides lead, so p * (lead // q)
@@ -147,8 +147,8 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
             g = math.gcd(pn, qn)
             candidates.add((pn // g, qn // g))
             candidates.add((-(pn // g), qn // g))
-    # work = ints * divided / scale: every root p/q found divides ints by the
-    # primitive q*w - p (exactly, by Gauss's lemma) and multiplies divided by q
+    # work = ints * content * divided / scale: a root p/q found divides ints by
+    # the primitive q*w - p (exactly, by Gauss's lemma), multiplying divided by q
     divided = 1
     for pn, qn in sorted(candidates, key=lambda c: c[0] * (lead // c[1])):
         while len(ints) > 1 and _homogeneous_value(ints, pn, qn) == 0:
@@ -158,7 +158,7 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
             roots[root] = roots.get(root, 0) + 1
         if len(ints) <= 1:
             break
-    return roots, Poly([Fraction(c * divided, scale) for c in ints])
+    return roots, Poly([Fraction(c * content * divided, scale) for c in ints])
 
 
 def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
@@ -218,19 +218,18 @@ def _as_poly(coeffs, B: int) -> Poly:
     return Poly([Fraction(c, B) for c in coeffs] if B != 1 else coeffs)
 
 
-def _h0_factors(exponents) -> tuple[Poly, Poly]:
-    """(den, mand) for (finite coordinate x, exponent e) pairs at distinct
-    points: den = prod (w - x)^e over e > 0 and mand = prod (w - x)^(-e)
-    over e < 0, both monic and coprime, multiplied out over the integer
-    factors of `_linear_factor`."""
+def _h0_factors(exponents) -> tuple[tuple[list, int], tuple[list, int]]:
+    """(den, mand) for ((integer factor, b), e) pairs of `_linear_factor` at
+    distinct points x: den = prod (w - x)^e over e > 0 and mand =
+    prod (w - x)^(-e) over e < 0, monic and coprime, each as (c, B) with
+    polynomial c / B.  The one place where such products are multiplied out."""
     den, den_b, mand, mand_b = [1], 1, [1], 1
-    for x, e in exponents:
-        factor, b = _linear_factor(x)
+    for (factor, b), e in exponents:
         for _ in range(e):
             den, den_b = convolve(den, factor), den_b * b
         for _ in range(-e):
             mand, mand_b = convolve(mand, factor), mand_b * b
-    return _as_poly(den, den_b), _as_poly(mand, mand_b)
+    return (den, den_b), (mand, mand_b)
 
 
 def _h0_element(den: Poly, mand: Poly, j: int) -> RationalFunctionP1:
@@ -253,9 +252,9 @@ def _rr_data(E: QDivisor) -> tuple[Poly, Poly, int]:
     if not E.is_integral():
         raise ValueError("H0 bases require an integral divisor; take a floor first")
     den, mand = _h0_factors(
-        (pt.coord, int(c)) for pt, c in E.entries if not isinstance(pt, InfinityP1)
+        (_linear_factor(pt.coord), int(c)) for pt, c in E.entries if not isinstance(pt, InfinityP1)
     )
-    return den, mand, int(E.degree())
+    return _as_poly(*den), _as_poly(*mand), int(E.degree())
 
 
 def rr_basis(E: QDivisor) -> list[RationalFunctionP1]:

@@ -97,6 +97,7 @@ class PrimeCandidate:
     g: RationalFunctionP1
     degree: int
     divisor: QDivisor | None = field(default=None, compare=False)
+    _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -175,14 +176,17 @@ def veronese_transform(D: QDivisor, s: int) -> QDivisor:
 
 def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
     """A multiple of the candidate's coordinate polynomial in the piece of its
-    degree: primitive ints when rational, lowest degree first, last entry
-    nonzero."""
+    degree, read once per (equal) piece and kept on the candidate: primitive
+    ints when rational, lowest degree first, last entry nonzero."""
     if cand.g.is_zero:
         raise ZeroCandidateError("the candidate is the zero function, which is never prime")
-    q = primitive_multiple(model.piece(cand.degree).member(cand.g))
-    while not q[-1]:
-        q.pop()
-    return q
+    piece = model.piece(cand.degree)
+    if piece not in cand._coords:
+        q = primitive_multiple(piece.member(cand.g))
+        while not q[-1]:
+            q.pop()
+        cand._coords[piece] = q
+    return cand._coords[piece]
 
 
 def _oracle_window(model: SectionRing, d: int) -> int:

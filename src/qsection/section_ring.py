@@ -32,8 +32,8 @@ Any other point (a number-field coordinate, including a rational point of a
 line over a number field) enters as the factor -x + w with scale 1.  A
 product prod_x (w - x)^e_x is kept as a coefficient list c and an integer
 B = prod_x b^e_x with polynomial c / B; c is integral for a rational
-divisor.  The lists are multiplied by plain convolution (`convolve`), over
-any scalars.
+divisor.  One builder, `p1._h0_factors`, multiplies the lists out by plain
+convolution over any scalars, for each piece and each product of the model.
 
 Linear algebra sees only the lists.  Generator discovery asks for spans,
 ranks, pivots and membership, the primality oracle asks whether a product
@@ -182,7 +182,7 @@ from .errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from .exact_arith import Poly, convolve, poly_divrem
+from .exact_arith import Poly, poly_divrem
 from .linalg import SpanBuilder
 from .p1 import RationalFunctionP1, _as_poly, _h0_element, _h0_factors, _linear_factor
 
@@ -236,16 +236,16 @@ class Piece:
         """Common denominator den and mandatory numerator factor mand of the basis.
 
         den = prod (w - x)^e over the points with e = floor(n*c_x) > 0 and
-        mand = prod (w - x)^(-e) over those with e < 0, both monic, built from
-        the integer factors of the points.
+        mand = prod (w - x)^(-e) over those with e < 0, both monic (`_h0_factors`).
         """
         if self._den_mand is None:
             n = self.degree_t
-            self._den_mand = _h0_factors(
-                (pt.coord, n * c.numerator // c.denominator)
+            den, mand = _h0_factors(
+                (_linear_factor(pt.coord), n * c.numerator // c.denominator)
                 for pt, c in self.divisor.entries
                 if not isinstance(pt, InfinityP1)
             )
+            self._den_mand = _as_poly(*den), _as_poly(*mand)
         return self._den_mand
 
     @property
@@ -365,9 +365,9 @@ class SectionRing:
         self.generators: list[Generator] = []
         self.irredundant = False
         self.generators_at_bound = False
-        # (numerator, denominator, integer factor, B) of each finite point
+        # (numerator, denominator, (integer factor, B)) of each finite point
         self._points = [
-            (c.numerator, c.denominator, *_linear_factor(pt.coord))
+            (c.numerator, c.denominator, _linear_factor(pt.coord))
             for pt, c in divisor.entries
             if not isinstance(pt, InfinityP1)
         ]
@@ -411,15 +411,13 @@ class SectionRing:
         return N + max(empty, default=0)
 
     def _product(self, expo: tuple[int, ...]) -> tuple[list, int]:
-        """(c, B) with prod_x (w - x)^e_x = c / B over the finite points;
-        memoized by the exponent vector."""
+        """(c, B) with prod_x (w - x)^e_x = c / B over the finite points, every
+        e_x >= 0: the den of `_h0_factors`; memoized by the exponent vector."""
         out = self._products.get(expo)
         if out is None:
-            coeffs, B = [1], 1
-            for e, (_, _, factor, b) in zip(expo, self._points):
-                for _ in range(e):
-                    coeffs, B = convolve(coeffs, factor), B * b
-            out = self._products[expo] = (coeffs, B)
+            out = self._products[expo] = _h0_factors(
+                (factor, e) for e, (_, _, factor) in zip(expo, self._points)
+            )[0]
         return out
 
     def carry(self, a: int, b: int) -> tuple[list, int]:
@@ -431,7 +429,7 @@ class SectionRing:
             n = a + b
             out = self._carries[key] = self._product(
                 tuple(n * num // den - a * num // den - b * num // den
-                      for num, den, _, _ in self._points)
+                      for num, den, _ in self._points)
             )
         return out
 
@@ -444,7 +442,7 @@ class SectionRing:
         n = sum(e * g.degree for e, g in gens)
         coeffs, B = self._product(
             tuple(n * num // den - sum(e * (g.degree * num // den) for e, g in gens)
-                  for num, den, _, _ in self._points)
+                  for num, den, _ in self._points)
         )
         return sum(e * g.column for e, g in gens), coeffs, B
 

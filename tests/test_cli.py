@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from qsection.cli import BOUND_ENV_VAR, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 HALF_INTEGER_JOB = {
     "curve": {"type": "p1"},
@@ -226,6 +228,32 @@ class TestRingDivisorMode:
         assert blob == second.read_bytes()
         assert blob.endswith(b"\n")
         assert json.loads(blob)["tomari"] == "1/2"
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output_is_schema_error(self, tmp_path, capsys, target):
+        # a missing directory, or a directory in place of a file
+        path = write_job(tmp_path, HALF_INTEGER_JOB)
+        argv = ["ring", "--input", path, "--output", str(tmp_path / target)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["message"].startswith("cannot write output: ")
+
+    def test_undecodable_file_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(HALF_INTEGER_JOB).encode() + b" \xff")
+        code, out, err = run_cli(["ring", "--input", str(path)], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["message"].startswith("cannot read input: ")
+
+    def test_undecodable_stdin_is_schema_error(self, capsys, monkeypatch):
+        raw = io.BytesIO(json.dumps(HALF_INTEGER_JOB).encode() + b" \xff")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        code, out, err = run_cli(["ring", "--input", "-"], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["message"].startswith("cannot read input: ")
 
 
 class TestOutputBytes:
@@ -723,6 +751,30 @@ class TestParserReuse:
             assert capsys.readouterr().err.startswith("usage: qsection")
         code, out, _ = run_cli(["ring", "--input", path, "--emit", "dims"], capsys)
         assert code == 0 and out["bound"] == 6
+
+
+def test_check_with_a_large_constant_factor_finishes(tmp_path):
+    """`divisor_of` looked for rational roots among the divisors of the
+    constant term, content included, so the half-integer check candidate
+    times (2^127 - 1)/3, 2^127 - 1 a prime, never finished; its verdict is
+    that of the unscaled candidate."""
+    job = json.loads((SCRIPTS / "jobs" / "half_integer_check_ok.json").read_bytes())
+    c = Fraction(2**127 - 1, 3)
+    job["candidate"]["function"]["numer"] = [str(c * n) for n in (2, -3, 1)]
+    path = write_job(tmp_path, job)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsection", "primes", "check", "--input", path],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    golden = json.loads((SCRIPTS / "golden" / "half_integer_check_ok.json").read_bytes())
+    assert out["candidate"]["function"]["numer"] == job["candidate"]["function"]["numer"]
+    for key in ("necessary", "oracle", "oracle_bound", "profile"):
+        assert out[key] == golden[key]
 
 
 def test_thin_enumerate_finishes(tmp_path):

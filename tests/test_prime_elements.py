@@ -15,12 +15,14 @@ from qsection.errors import (
     BoundTooSmallError,
     BoundTooSmallWarning,
     HypothesisViolatedError,
+    MembershipError,
     NotAmpleError,
     NotLinearlyEquivalentError,
     QSectionError,
+    ZeroCandidateError,
 )
 from qsection.exact_arith import NumberField, Poly, convolve
-from qsection.linalg import SpanBuilder
+from qsection.linalg import SpanBuilder, primitive_multiple
 from qsection.p1 import RationalFunctionP1, divisor_of
 from qsection.prime_elements import (
     OracleResult,
@@ -419,6 +421,57 @@ class TestQuotientRow:
             q_g = _candidate_coords(model_half, cand)
             assert 3 in quotient_profile(model_half, cand).support()
             assert _quotient_row(model_half, q_g, 2, 3) == (0, [1])
+
+
+def counted_coords(monkeypatch) -> list:
+    """Patch `Piece.coords` to record each call; returns the record."""
+    calls = []
+    coords = Piece.coords
+
+    def wrapper(piece, f):
+        calls.append(piece)
+        return coords(piece, f)
+
+    monkeypatch.setattr(Piece, "coords", wrapper)
+    return calls
+
+
+class TestCandidateRead:
+    """`_candidate_coords` reads a candidate into a piece once and keeps the
+    coordinates on the candidate, keyed by the piece."""
+
+    def test_profile_and_oracle_read_once(self, model_half, monkeypatch):
+        calls = counted_coords(monkeypatch)
+        cand = PrimeCandidate(X_MINUS_2Y.g, 2)
+        quotient_profile(model_half, cand)
+        assert primality_oracle(model_half, cand).is_prime
+        assert calls == [model_half.piece(2)]
+
+    def test_each_model_gets_its_own_coordinates(self, model_half):
+        poly_ring = build_section_ring(d({P1_INFINITY: 1}), 2)
+        cand = PrimeCandidate(rf((-1, 1)), 2)
+        cases = ((model_half, [0, 1]), (poly_ring, [-1, 1]), (model_half, [0, 1]))
+        for model, expected in cases:
+            q = primitive_multiple(model.piece(2).member(cand.g))
+            assert q[:len(expected)] == expected and not any(q[len(expected):])
+            assert _candidate_coords(model, cand) == expected
+
+    def test_refusals_repeat_and_store_nothing(self, model_half, monkeypatch):
+        calls = counted_coords(monkeypatch)
+        outsider = PrimeCandidate(rf((0, 1)), 2)
+        zero = PrimeCandidate(rf((0,)), 2)
+        for _ in range(2):
+            with pytest.raises(MembershipError):
+                _candidate_coords(model_half, outsider)
+            with pytest.raises(ZeroCandidateError):
+                _candidate_coords(model_half, zero)
+        assert len(calls) == 2
+
+    def test_a_read_candidate_equals_a_fresh_one(self, model_half):
+        read, fresh = PrimeCandidate(X_GEN.g, 2), PrimeCandidate(X_GEN.g, 2)
+        _candidate_coords(model_half, read)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh)
 
 
 class TestConstructPrime:

@@ -11,6 +11,7 @@ import pytest
 from qsection.cli import main
 from qsection.divisors import QDivisor
 from qsection.elliptic import WeierstrassCurve
+from qsection.section_ring import Piece
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,6 +49,19 @@ def weierstrass_points(job: dict) -> int:
     return len(job.get("divisor", [])) + ("point" in job)
 
 
+# Piece.coords calls per primes job: a check job reads its one candidate
+# once; enumerate and construct read each candidate they confirm
+COORDS_READS = {
+    "half_integer_check_ok": 1,
+    "half_integer_check_refuted": 1,
+    "half_integer_enumerate": 2,
+    "deg42_enumerate": 5,
+    "scroll_enumerate": 2,
+    "scroll_construct": 1,
+    "poly_ring_enumerate": 2,
+}
+
+
 def counting(calls: Counter, name: str, method):
     def wrapper(*args, **kwargs):
         calls[name] += 1
@@ -59,9 +73,11 @@ def counting(calls: Counter, name: str, method):
 @pytest.mark.parametrize("entry", manifest(), ids=lambda e: e["name"])
 def test_each_point_is_checked_once_where_it_enters(entry, tmp_path, monkeypatch):
     """Past the parse, no layer re-validates: the validating `QDivisor`
-    constructor never runs, and the curve equation is tested once per
-    point the job writes (the group law trusts the points it computes)."""
+    constructor never runs, the curve equation is tested once per point the
+    job writes (the group law trusts the points it computes), and each prime
+    candidate is read into its piece once."""
     calls = Counter()
+    monkeypatch.setattr(Piece, "coords", counting(calls, "coords", Piece.coords))
     monkeypatch.setattr(QDivisor, "__init__", counting(calls, "init", QDivisor.__init__))
     monkeypatch.setattr(
         WeierstrassCurve, "contains", counting(calls, "contains", WeierstrassCurve.contains)
@@ -74,3 +90,4 @@ def test_each_point_is_checked_once_where_it_enters(entry, tmp_path, monkeypatch
     points = weierstrass_points(json.loads(job.read_text(encoding="utf-8")))
     assert calls["contains"] == points
     assert points == {"two_torsion_verdict": 4, "three_torsion_verdict": 3}.get(entry["name"], 0)
+    assert calls["coords"] == COORDS_READS.get(entry["name"], 0)
