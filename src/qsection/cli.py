@@ -12,7 +12,10 @@ Subcommands:
 * ``ec verdict``: prime existence for a divisor on a Weierstrass curve.
 
 Exit codes: 0 success, 1 domain error, 2 success with warnings
-(a generator appeared at the truncation bound), 3 malformed input.
+(a ``ring`` model's `SectionRing.truncation_warning`: a generator appeared
+at a truncation bound below B*), 3 malformed input.  Payloads are the
+library's result records, with curves, divisors, points and functions
+written out.
 All rationals travel as strings "p/q"; output is deterministic
 (sorted keys, two-space indent, trailing newline).
 """
@@ -25,11 +28,10 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from .divisors import QDivisor
 from .elliptic import ec_prime_exists
-from .errors import BoundTooSmallWarning, QSectionError, SchemaError
+from .errors import QSectionError, SchemaError
 from .jsonio import (
     format_json,
     parse_curve,
@@ -55,8 +57,9 @@ from .prime_elements import (
 )
 from .section_ring import (
     HilbertSeries,
+    SectionRing,
+    _checked_bound,
     a_invariant,
-    build_section_ring,
     find_relations,
     hilbert_series,
     tomari_limit,
@@ -184,7 +187,8 @@ def cmd_ring(args) -> dict:
         emit = _parse_emit(args.emit, EMIT_SECTIONS, EMIT_SECTIONS)
         curve = parse_curve(job.get("curve"))
         D = _require_divisor(job, curve)
-        model = build_section_ring(D, _resolve_bound(args.bound, job))
+        bound = _checked_bound(D, _resolve_bound(args.bound, job))
+        model = SectionRing(D).extend(bound)
         series, dim = functools.partial(hilbert_series, model), 2
         out = {
             "mode": "divisor",
@@ -194,10 +198,12 @@ def cmd_ring(args) -> dict:
             "degree": serialize_rational(model.divisor.degree()),
             "irredundant": model.irredundant,
         }
+        if model.truncation_warning is not None:
+            out["warnings"] = [model.truncation_warning]
         if "dims" in emit:
-            out["dims"] = list(model.dims)
+            out["dims"] = model.dims
         if "generators" in emit:
-            out["generator_degrees"] = [g.degree for g in model.generators]
+            out["generator_degrees"] = model.generator_degrees
             out["generators"] = [
                 {"degree": g.degree, "function": serialize_function(g.func)}
                 for g in model.generators
@@ -219,28 +225,14 @@ def cmd_ring(args) -> dict:
     return out
 
 
-def _profile_payload(prof) -> dict:
-    return {
-        "degree": prof.degree,
-        "s": prof.s,
-        "bound": prof.bound,
-        "dims": list(prof.dims),
-        "support": list(prof.support()),
-    }
-
-
 def _necessary_payload(rep) -> dict:
-    return {
-        "degree": rep.degree,
-        "s": rep.s,
-        "gcd_ok": rep.gcd_ok,
-        "scaled_divisor_ok": rep.scaled_divisor_ok,
-        "degree_identity_ok": rep.degree_identity_ok,
+    out = vars(rep) | {
         "point_divisor": serialize_divisor(rep.point_divisor),
         "point": None if rep.point is None else serialize_point(rep.point),
-        "point_in_fractional_support": rep.point_in_fractional_support,
         "passed": rep.passed,
     }
+    del out["profile"]
+    return out
 
 
 def _verdict_payload(v) -> dict:
@@ -309,14 +301,9 @@ def cmd_primes(args) -> dict:
         necessary = necessary_check(model, cand)
         return out | {
             "candidate": {"degree": degree, "function": serialize_function(g)},
-            "profile": _profile_payload(necessary.profile),
+            "profile": vars(necessary.profile) | {"support": necessary.profile.support()},
             "necessary": _necessary_payload(necessary),
-            "oracle": {
-                "is_prime": oracle.is_prime,
-                "kind": oracle.kind,
-                "witness": None if oracle.witness is None else list(oracle.witness),
-                "bound": oracle.bound,
-            },
+            "oracle": vars(oracle),
         }
     if not oracle.is_prime:
         raise QSectionError(
@@ -416,14 +403,11 @@ def cmd_ec(args) -> dict:
     D = _require_divisor(job, curve)
     degree = _job_int(job, "degree")
     verdict = ec_prime_exists(D, degree)
-    return {
+    return vars(verdict) | {
         "action": "verdict",
         "curve": serialize_curve(D.curve),
         "divisor": serialize_divisor(D),
-        "degree": verdict.degree,
-        "exists": verdict.exists,
         "point": None if verdict.point is None else serialize_point(verdict.point),
-        "reason": verdict.reason,
         "note": "complete for the degrees permitted by deg D",
     }
 
@@ -490,22 +474,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BoundTooSmallWarning)
-            payload = args.handler(args)
-            notes = [
-                str(w.message)
-                for w in caught
-                if issubclass(w.category, BoundTooSmallWarning)
-            ]
-        if notes:
-            payload["warnings"] = sorted(set(notes))
+        payload = args.handler(args)
         _emit_payload(payload, args.output)
-        return 2 if notes else 0
+        return 2 if "warnings" in payload else 0
     except SchemaError as exc:
         _emit_error(exc, "schema")
         return 3
-    except (QSectionError, ValueError, ZeroDivisionError) as exc:
+    except (QSectionError, ValueError, ZeroDivisionError, RecursionError) as exc:
         _emit_error(exc, "domain")
         return 1
 

@@ -338,7 +338,7 @@ def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int
 
     The model is extended to max(`bound` or the default, `generator_bound`).
     No generator lies above B* = `generator_bound`, so the list is complete
-    and nothing warns.  The window of degree d, max(2 * (top generator
+    and `truncation_warning` is None.  The window of degree d, max(2 * (top generator
     degree) + d, oracle_bound), is read from it, and the model is extended
     once more to the largest window.  Refusals are those of
     `build_section_ring`.

@@ -214,7 +214,7 @@ class Piece:
     Two pieces are equal when they have the same divisor and degree.
     """
 
-    __slots__ = ("divisor", "degree_t", "dim", "_cap", "_den_mand", "_basis")
+    __slots__ = ("divisor", "degree_t", "dim", "_cap", "_den_mand")
 
     def __init__(self, D: QDivisor, n: int):
         self.divisor = D
@@ -222,7 +222,6 @@ class Piece:
         self._cap = _floor_degree(D.coefficient_pairs, n)
         self.dim = max(self._cap + 1, 0)
         self._den_mand = None
-        self._basis = None
 
     def __eq__(self, other):
         if not isinstance(other, Piece):
@@ -250,19 +249,14 @@ class Piece:
 
     @property
     def basis(self) -> tuple:
-        """The echelon basis of `rr_basis`, built on first use."""
-        if self._basis is None:
-            self._basis = tuple(self.unit_function(j) for j in range(self.dim))
-        return self._basis
+        """The echelon basis w^j * mand / den of `rr_basis`."""
+        den, mand = self._rr()
+        return tuple(_h0_element(den, mand, j) for j in range(self.dim))
 
     def function(self, q: Poly) -> RationalFunctionP1:
         """The section whose coordinate polynomial is q."""
         den, mand = self._rr()
         return RationalFunctionP1(q * mand, den)
-
-    def unit_function(self, j: int) -> RationalFunctionP1:
-        """The basis element w^j * mand / den of `rr_basis`."""
-        return _h0_element(*self._rr(), j)
 
     def vector(self, coeffs, shift: int = 0) -> list:
         """Coordinate vector of the section with coordinate polynomial
@@ -302,7 +296,7 @@ class Generator:
     """A generator: basis element `column` of `piece`, the piece of its degree.
 
     Its coordinate polynomial is w^column; `func` is the same section as a
-    rational function, built on first use.
+    rational function.
     """
 
     degree: int
@@ -310,9 +304,9 @@ class Generator:
     column: int
     piece: Piece = field(repr=False)
 
-    @cached_property
+    @property
     def func(self) -> RationalFunctionP1:
-        return self.piece.unit_function(self.column)
+        return _h0_element(*self.piece._rr(), self.column)
 
 
 @dataclass(frozen=True)
@@ -459,9 +453,8 @@ class SectionRing:
         already-known generators, sum_g g * R_{n - d_g}, is echelonized
         inside the piece; basis elements at the non-pivot columns (left to
         right) become new generators.  Higher degrees hold no generator and
-        get their piece only.  A warning is issued when a generator shows up
-        exactly at a bound below `generator_bound`, since then nothing
-        certifies that higher degrees hold no further generators.
+        get their piece only.  Nothing warns: `truncation_warning` says
+        whether the generator list may be incomplete.
         """
         if bound < self.bound:
             raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
@@ -488,13 +481,19 @@ class SectionRing:
         support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
         self.irredundant = math.gcd(*support) == 1 if support else False
         self.generators_at_bound = any(g.degree == bound for g in self.generators)
-        if self.generators_at_bound and bound < top:
-            warnings.warn(
-                f"generators found at the bound {bound}; raise the bound to certify completeness",
-                BoundTooSmallWarning,
-                stacklevel=3,
-            )
         return self
+
+    @property
+    def truncation_warning(self) -> str | None:
+        """The message when a generator shows up exactly at a bound below
+        `generator_bound`, since then nothing certifies that higher degrees
+        hold no further generators; None otherwise."""
+        if self.generators_at_bound and self.bound < self.generator_bound:
+            return (
+                f"generators found at the bound {self.bound}; "
+                "raise the bound to certify completeness"
+            )
+        return None
 
 
 def _checked_bound(D: QDivisor, bound: int | None) -> int:
@@ -511,10 +510,14 @@ def _checked_bound(D: QDivisor, bound: int | None) -> int:
 def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
     """Discover generators of the section ring of D up to a degree bound.
 
-    See `SectionRing.extend` for the discovery and the bound warning.
+    See `SectionRing.extend` for the discovery.  Warns BoundTooSmallWarning
+    with the model's `truncation_warning`, if it has one.
     """
     bound = _checked_bound(D, bound)
-    return SectionRing(D).extend(bound)
+    model = SectionRing(D).extend(bound)
+    if model.truncation_warning is not None:
+        warnings.warn(model.truncation_warning, BoundTooSmallWarning, stacklevel=2)
+    return model
 
 
 def _divides(a: tuple, b: tuple) -> bool:

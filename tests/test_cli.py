@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from qsection.cli import BOUND_ENV_VAR, main
+from qsection.jsonio import parse_curve, parse_divisor
+from qsection.section_ring import SectionRing
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -134,13 +136,16 @@ class TestRingDivisorMode:
 
     def test_small_bound_warns_with_exit_2(self, tmp_path, capsys):
         path = write_job(tmp_path, HALF_INTEGER_JOB)
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             ["ring", "--input", path, "--bound", "2", "--emit", "dims,generators"],
             capsys,
         )
-        assert code == 2
+        assert code == 2 and err is None
         assert out["bound"] == 2
         assert out["warnings"] and "bound" in out["warnings"][0]
+        D = parse_divisor(HALF_INTEGER_JOB["divisor"], parse_curve(HALF_INTEGER_JOB["curve"]))
+        model = SectionRing(D).extend(2)
+        assert out["warnings"] == [model.truncation_warning]
 
     def test_generators_at_the_proven_bound_do_not_warn(self, tmp_path, capsys):
         """Bound 3 is B* of the job: a generator sits there, but none lies
@@ -854,6 +859,22 @@ def test_relations_far_past_the_last_one_finish(tmp_path, divisor, bound, degree
     out = json.loads(proc.stdout)
     assert out["bound"] == bound
     assert out["relation_degrees"] == degrees
+
+
+def test_deep_recursion_is_a_domain_error(tmp_path, capsys):
+    """1000*[inf] has 1001 generators in degree 1, and `exponent_vectors`
+    recurses once per generator: past the recursion limit the job exits 1
+    with a JSON error and writes nothing to stdout."""
+    path = write_job(tmp_path, {"divisor": [{"point": "inf", "coeff": "1000"}]})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run_cli(["ring", "--input", path], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1 and out is None
+    assert err["error"]["kind"] == "domain"
+    assert err["error"]["type"] == "RecursionError"
 
 
 def test_module_entry_point(tmp_path):

@@ -301,6 +301,7 @@ class TestModelForOracle:
         assert model.bound == 8 and windows == {2: 8}
         # every generator lies below the final bound, so nothing warns
         assert not caught
+        assert model.truncation_warning is None
         fresh = build_section_ring(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators
@@ -326,6 +327,7 @@ class TestModelForOracle:
             warnings.simplefilter("always", BoundTooSmallWarning)
             model, windows = _model_for_oracle(D, [degree], bound, None)
         assert not caught
+        assert model.truncation_warning is None
         assert model.generators == fresh.generators
         window = 2 * max(fresh.generator_degrees) + degree
         assert windows == {degree: window}

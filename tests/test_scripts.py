@@ -1,6 +1,7 @@
 """Golden-file regression: every worked example reproduces byte for byte."""
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -35,6 +36,20 @@ def test_all_examples_match_goldens():
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 15
     assert all(line.startswith("ok ") for line in lines)
+
+
+def test_replay_prints_one_line_per_workload():
+    """small-jobs at seed 0: its 85 jobs, every one exiting 0, and the
+    sha256 over their ids, exit codes and output bytes."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "replay_workloads.py"), "--seeds", "0",
+         "--workload", "small-jobs"],
+        capture_output=True,
+        text=True,
+        timeout=150,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"small-jobs: 85 jobs, exit 0: 85, sha256 [0-9a-f]{64}\n", proc.stdout)
 
 
 def manifest():

@@ -234,7 +234,14 @@ class TestModelGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error", BoundTooSmallWarning)
             model = build_section_ring(D_HALF, 3)
+            # extend itself never warns; the model says whether it is truncated
+            truncated = SectionRing(D_HALF).extend(2)
         assert model.generators_at_bound and model.bound == model.generator_bound
+        assert model.truncation_warning is None
+        assert "bound 2;" in truncated.truncation_warning
+        with pytest.warns(BoundTooSmallWarning) as caught:
+            build_section_ring(D_HALF, 2)
+        assert [str(w.message) for w in caught] == [truncated.truncation_warning]
 
     def test_piece_outside_bound(self):
         model = build_section_ring(D_HALF)
