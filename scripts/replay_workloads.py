@@ -7,7 +7,7 @@ manifest job reads its committed file under scripts/jobs/) runs through
 each workload one line is printed: the job count, the count of each exit
 code, and a sha256 over (job id, exit code, stdout, stderr) of every job
 in order.  Two checkouts that print the same lines gave the same exit codes
-and the same bytes on every job.  `QSECTION_BOUND` is unset first.
+and the same bytes on every job.
 
 Usage:
     python scripts/replay_workloads.py                    # seeds 0-5, all workloads
@@ -19,7 +19,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from collections import Counter
@@ -30,7 +29,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from qsection.cli import BOUND_ENV_VAR, main  # noqa: E402
+from qsection.cli import main  # noqa: E402
 
 
 def parse_seeds(text: str) -> list:
@@ -78,7 +77,6 @@ def run(argv=None) -> int:
         help="replay only this workload (repeatable; default: all)",
     )
     args = parser.parse_args(argv)
-    os.environ.pop(BOUND_ENV_VAR, None)
     seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         for workload in args.workload or workloads.GENERATORS:

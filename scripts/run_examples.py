@@ -14,7 +14,6 @@ Usage:
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 SCRIPTS_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(SCRIPTS_DIR.parent / "src"))
 
-from qsection.cli import BOUND_ENV_VAR, main  # noqa: E402
+from qsection.cli import main  # noqa: E402
 
 
 def load_manifest():
@@ -64,7 +63,6 @@ def parse_args(argv=None):
 
 def run(argv=None):
     args = parse_args(argv)
-    os.environ.pop(BOUND_ENV_VAR, None)
     entries = load_manifest()
     if args.only is not None:
         entries = [e for e in entries if e["name"] == args.only]

@@ -26,7 +26,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .divisors import QDivisor
@@ -58,7 +57,6 @@ from .prime_elements import (
 from .section_ring import (
     HilbertSeries,
     SectionRing,
-    _checked_bound,
     a_invariant,
     find_relations,
     hilbert_series,
@@ -70,7 +68,6 @@ from .semigroups import (
     semigroup_from_profile,
 )
 
-BOUND_ENV_VAR = "QSECTION_BOUND"
 EMIT_SECTIONS = ("dims", "generators", "relations", "hilbert", "a-invariant", "tomari")
 WEIGHTS_SECTIONS = ("dims", "hilbert", "a-invariant", "tomari")
 
@@ -99,18 +96,11 @@ def _is_count(val, least: int = 1) -> bool:
 
 
 def _resolve_bound(flag_value, job, key: str = "bound"):
-    """Flag beats the job file, which beats the environment default; the
-    environment sets the truncation bound only."""
+    """The flag, else the job file's key, else None (the library default)."""
     if flag_value is not None:
         source, val = f"--{key.replace('_', '-')}", flag_value
     elif key in job:
         source, val = key, job[key]
-    elif key == "bound" and (env := os.environ.get(BOUND_ENV_VAR)) is not None:
-        source = BOUND_ENV_VAR
-        try:
-            val = int(env)
-        except ValueError:
-            raise SchemaError(f"{BOUND_ENV_VAR}={env!r} is not an integer") from None
     else:
         return None
     if not _is_count(val):
@@ -187,7 +177,8 @@ def cmd_ring(args) -> dict:
         emit = _parse_emit(args.emit, EMIT_SECTIONS, EMIT_SECTIONS)
         curve = parse_curve(job.get("curve"))
         D = _require_divisor(job, curve)
-        bound = _checked_bound(D, _resolve_bound(args.bound, job))
+        # resolved first, so that a bad bound outranks a non-ample divisor
+        bound = _resolve_bound(args.bound, job)
         model = SectionRing(D).extend(bound)
         series, dim = functools.partial(hilbert_series, model), 2
         out = {

@@ -86,7 +86,7 @@ from .errors import (
 from .exact_arith import convolve
 from .linalg import primitive_multiple
 from .p1 import RationalFunctionP1, divisor_of, principal_function
-from .section_ring import SectionRing, _checked_bound
+from .section_ring import SectionRing
 
 
 @dataclass(frozen=True)
@@ -336,16 +336,15 @@ def primality_oracle(
 def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int | None):
     """A model that holds the oracle window of each degree, and those windows.
 
-    The model is extended to max(`bound` or the default, `generator_bound`).
-    No generator lies above B* = `generator_bound`, so the list is complete
-    and `truncation_warning` is None.  The window of degree d, max(2 * (top generator
-    degree) + d, oracle_bound), is read from it, and the model is extended
-    once more to the largest window.  Refusals are those of
-    `build_section_ring`.
+    The model is built at `bound` (or the default) and extended to
+    `generator_bound` if that is higher.  No generator lies above
+    B* = `generator_bound`, so the list is complete and `truncation_warning`
+    is None.  The window of degree d, max(2 * (top generator degree) + d,
+    oracle_bound), is read from it, and the model is extended once more to
+    the largest window.  Refusals are those of `build_section_ring`.
     """
-    start = _checked_bound(D, bound)
-    model = SectionRing(D)
-    model.extend(max(start, model.generator_bound))
+    model = SectionRing(D).extend(bound)
+    model.extend(max(model.bound, model.generator_bound))
     windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
     return model.extend(max(model.bound, *windows.values())), windows
 

@@ -153,11 +153,15 @@ formed; no Groebner basis is kept.
 
 Hilbert series.  With denominator exponents e_j equal to the generator
 degrees, the numerator is the product of the dimension series with
-prod_j (1 - t^e_j), a polynomial exactly when the generators generate the
-ring.  It is decided on a proven window.  For n >= n0 = ceil(k / deg D)
-(the scan end above), deg floor(n*D) > n*deg D - k >= 0, so
-dim R_n = n*deg D + 1 - phi(n) with phi(n) = sum_x {n*c_x} periodic mod N.
-Write prod_j (1 - t^e_j) = sum_i a_i t^i, of degree E = sum_j e_j.  For
+prod_j (1 - t^e_j).  It is a polynomial when the generators generate the
+ring, and a failed fit proves the list incomplete, but a fit proves nothing:
+at bound 2 the half-integer model misses its degree-3 generator and still
+fits 1 + t^3 over (2, 2), as (1 - t^6) / (1 - t^3) = 1 + t^3.  Only B*
+certifies the list.  The fit is decided on a proven window.  For
+n >= n0 = ceil(k / deg D) (the scan end above), deg floor(n*D) >
+n*deg D - k >= 0, so dim R_n = n*deg D + 1 - phi(n) with
+phi(n) = sum_x {n*c_x} periodic mod N.  Write
+prod_j (1 - t^e_j) = sum_i a_i t^i, of degree E = sum_j e_j.  For
 n >= n0 + E the numerator coefficient sum_i a_i dim R_(n-i) only reads the
 formula, and as sum_i a_i = 0 (the product vanishes at t = 1) its terms
 linear in n cancel: the coefficients from n0 + E on are periodic mod N.  So
@@ -300,7 +304,6 @@ class Generator:
     """
 
     degree: int
-    index: int
     column: int
     piece: Piece = field(repr=False)
 
@@ -347,10 +350,13 @@ class SectionRing:
     """Truncated model of the section ring of an ample divisor.
 
     Starts at bound 0 with no generators; `extend` discovers generators up
-    to a bound.  `build_section_ring` is the usual way to make one.
+    to a bound.  `build_section_ring` is the usual way to make one.  Raises
+    NotAmpleError unless deg D > 0, then ValueError off the projective line.
     """
 
     def __init__(self, divisor: QDivisor):
+        if divisor.degree() <= 0:
+            raise NotAmpleError(f"divisor degree {divisor.degree()} is not positive")
         if not isinstance(divisor.curve, ProjectiveLine):
             raise ValueError("section-ring models are built on the projective line")
         self.divisor = divisor
@@ -387,18 +393,16 @@ class SectionRing:
     def _stable_range(self) -> tuple[int, int]:
         """(N, n0): N*D is integral, and n0 = ceil(k / deg D), with k the
         number of support points, is the degree from which on R_n != 0 (see
-        the module docstring); raises NotAmpleError unless deg D > 0."""
+        the module docstring)."""
         pairs = self.divisor.coefficient_pairs
         N = math.lcm(*(b for _, b in pairs))
-        degree_N = sum(a * (N // b) for a, b in pairs)  # N * deg D
-        if degree_N <= 0:
-            raise NotAmpleError(f"divisor degree {self.divisor.degree()} is not positive")
+        degree_N = sum(a * (N // b) for a, b in pairs)  # N * deg D > 0
         return N, -(-len(pairs) * N // degree_N)
 
     @cached_property
     def generator_bound(self) -> int:
         """B*, above which no degree holds a generator (see the module
-        docstring); raises NotAmpleError unless deg D > 0."""
+        docstring)."""
         N, scan_end = self._stable_range
         pairs = self.divisor.coefficient_pairs
         empty = [n for n in range(1, scan_end) if _floor_degree(pairs, n) < 0]
@@ -446,8 +450,11 @@ class SectionRing:
         shift, coeffs, B = self.monomial_coords(expo)
         return self.piece(degree).function(_as_poly(coeffs, B).shifted(shift))
 
-    def extend(self, bound: int) -> "SectionRing":
+    def extend(self, bound: int | None = None) -> "SectionRing":
         """Discover generators up to a higher bound, keeping all earlier work.
+
+        The bound defaults to `default_bound`; below 1 it raises ValueError,
+        as it does below the current bound.
 
         In each degree up to `generator_bound` the span of products of
         already-known generators, sum_g g * R_{n - d_g}, is echelonized
@@ -456,6 +463,10 @@ class SectionRing:
         get their piece only.  Nothing warns: `truncation_warning` says
         whether the generator list may be incomplete.
         """
+        if bound is None:
+            bound = default_bound(self.divisor)
+        if bound < 1:
+            raise ValueError("bound must be at least 1")
         if bound < self.bound:
             raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
         top = self.generator_bound
@@ -476,7 +487,7 @@ class SectionRing:
             pivots = set(span.pivots)
             for j in range(piece.dim):
                 if j not in pivots:
-                    self.generators.append(Generator(n, len(self.generators), j, piece))
+                    self.generators.append(Generator(n, j, piece))
         self.bound = bound
         support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
         self.irredundant = math.gcd(*support) == 1 if support else False
@@ -496,24 +507,12 @@ class SectionRing:
         return None
 
 
-def _checked_bound(D: QDivisor, bound: int | None) -> int:
-    """`bound` or the default, after the refusals of every model build."""
-    if D.degree() <= 0:
-        raise NotAmpleError(f"divisor degree {D.degree()} is not positive")
-    if bound is None:
-        bound = default_bound(D)
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    return bound
-
-
 def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
     """Discover generators of the section ring of D up to a degree bound.
 
     See `SectionRing.extend` for the discovery.  Warns BoundTooSmallWarning
     with the model's `truncation_warning`, if it has one.
     """
-    bound = _checked_bound(D, bound)
     model = SectionRing(D).extend(bound)
     if model.truncation_warning is not None:
         warnings.warn(model.truncation_warning, BoundTooSmallWarning, stacklevel=2)
@@ -623,12 +622,8 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 if row is None or any(row[:dim]):
                     continue
                 nonzero = [(i, c) for i, c in enumerate(row[dim:]) if c]
-                h = nonzero[0][1]
-                if type(h) is int:
-                    terms = tuple((monos[i], Fraction(c, h)) for i, c in nonzero)
-                else:  # a pivot-one row
-                    terms = tuple((monos[i], c) for i, c in nonzero)
-                relations.append(Relation(n, terms))
+                inv = Fraction(1) / nonzero[0][1]
+                relations.append(Relation(n, tuple((monos[i], c * inv) for i, c in nonzero)))
                 scaled_terms.append((n, [(monos[i], c) for i, c in nonzero]))
                 found += 1
         new = [
@@ -703,7 +698,8 @@ def hilbert_series(model: SectionRing) -> HilbertSeries:
     available regardless of the model bound.  The numerator coefficients
     from n0 + sum(exps) on are periodic mod N (see the module docstring), so
     it is a polynomial exactly when N of them vanish there; if they do not,
-    the generator list is incomplete and the fit fails.
+    the generator list is incomplete and the fit fails.  A fit does not
+    prove the list complete; `generator_bound` does.
     """
     exps = sorted(model.generator_degrees)
     if not exps:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qsection.cli import BOUND_ENV_VAR, main
+from qsection.cli import main
 from qsection.jsonio import parse_curve, parse_divisor
 from qsection.section_ring import SectionRing
 
@@ -64,11 +64,6 @@ SIX_FIFTHS_JOB = {
     "divisor": [{"point": "-1", "coeff": "6/5"}],
     "candidate": {"degree": 1, "function": {"numer": ["1"], "denom": ["1", "1"]}},
 }
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv(BOUND_ENV_VAR, raising=False)
 
 
 def write_job(tmp_path, job, name="job.json"):
@@ -158,11 +153,12 @@ class TestRingDivisorMode:
         assert code == 0
         assert out["generator_degrees"] == [2, 2, 3] and "warnings" not in out
 
-    def test_bound_priority_flag_job_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(BOUND_ENV_VAR, "9")
-        env_path = write_job(tmp_path, HALF_INTEGER_JOB, "env.json")
-        code, out, _ = run_cli(["ring", "--input", env_path, "--emit", "dims"], capsys)
-        assert code == 0 and out["bound"] == 9
+    def test_bound_priority_flag_job_env(self, tmp_path, capsys):
+        """The flag beats the job's "bound", which beats the default 3N;
+        nothing else sets the bound."""
+        default_path = write_job(tmp_path, HALF_INTEGER_JOB, "default.json")
+        code, out, _ = run_cli(["ring", "--input", default_path, "--emit", "dims"], capsys)
+        assert code == 0 and out["bound"] == 6
 
         job = dict(HALF_INTEGER_JOB, bound=7)
         job_path = write_job(tmp_path, job, "withbound.json")
@@ -174,21 +170,14 @@ class TestRingDivisorMode:
         )
         assert code == 0 and out["bound"] == 11
 
-    def test_env_sets_the_truncation_bound_only(self, capsys, monkeypatch):
-        """The oracle window of the job stays its own (8) when the
-        environment raises the truncation bound to 20."""
-        monkeypatch.setenv(BOUND_ENV_VAR, "20")
+    def test_env_sets_the_truncation_bound_only(self, capsys):
+        """The oracle window of the job stays its own (8) when --bound
+        raises the truncation bound to 20."""
         path = str(Path(SRC).parent / "scripts" / "jobs" / "half_integer_check_ok.json")
-        code, out, _ = run_cli(["primes", "check", "--input", path], capsys)
+        code, out, _ = run_cli(["primes", "check", "--input", path, "--bound", "20"], capsys)
         assert code == 0
         assert out["oracle_bound"] == out["oracle"]["bound"] == 8
         assert out["profile"]["bound"] == 20
-
-    def test_bad_env_bound(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(BOUND_ENV_VAR, "soon")
-        path = write_job(tmp_path, HALF_INTEGER_JOB)
-        code, _, err = run_cli(["ring", "--input", path], capsys)
-        assert code == 3 and err["error"]["kind"] == "schema"
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_bound_flag_is_schema_error(self, tmp_path, capsys, value):
@@ -197,6 +186,13 @@ class TestRingDivisorMode:
         assert code == 3 and out is None
         assert err["error"]["type"] == "SchemaError"
         assert "--bound" in err["error"]["message"]
+
+    def test_bad_bound_outranks_a_non_ample_divisor(self, tmp_path, capsys):
+        path = write_job(tmp_path, {"divisor": [{"point": "0", "coeff": "-1"}]})
+        code, out, err = run_cli(["ring", "--input", path, "--bound", "0"], capsys)
+        assert code == 3 and out is None
+        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["message"] == "--bound must be a positive integer"
 
     def test_empty_divisor_is_domain_error(self, tmp_path, capsys):
         path = write_job(tmp_path, {"curve": {"type": "p1"}, "divisor": []})

@@ -221,10 +221,14 @@ class TestModelGuards:
             build_section_ring(d({}))
         with pytest.raises(NotAmpleError):
             build_section_ring(d({FiniteP1(0): -1}))
+        # the model itself refuses, before any bound is asked for
+        with pytest.raises(NotAmpleError):
+            SectionRing(d({}))
 
     def test_default_bound_three_periods(self):
         assert default_bound(D_HALF) == 6
         assert default_bound(D_SCROLL) == 21
+        assert SectionRing(D_HALF).extend().bound == 6
 
     def test_generator_at_bound_warns(self):
         with pytest.warns(BoundTooSmallWarning):
@@ -524,7 +528,7 @@ def reference_extend(D, bound):
             span.add(piece.vector(coeffs, shift))
         for j in range(piece.dim):
             if j not in span.pivots:
-                model.generators.append(Generator(n, len(model.generators), j, piece))
+                model.generators.append(Generator(n, j, piece))
     model.bound = bound
     return model
 
@@ -862,6 +866,16 @@ class TestHilbertSeries:
         hs = hilbert_series(model)
         assert hs.numerator == (1, 0, 0, 1)
         assert hs.denominator_exponents == (2, 2)
+
+    def test_a_fit_does_not_certify_completeness(self):
+        """At bound 2 the half-integer model misses its degree-3 generator
+        (B* = 3), and the series still fits over the weights {2, 2}, as
+        (1 - t^6) / (1 - t^3) = 1 + t^3."""
+        model = SectionRing(D_HALF).extend(2)
+        assert model.generator_degrees == [2, 2]
+        assert model.generator_bound == 3
+        assert model.truncation_warning is not None
+        assert hilbert_series(model) == HilbertSeries((1, 0, 0, 1), (2, 2))
 
 
 class TestTomari:
