@@ -1,8 +1,10 @@
 """Exact linear algebra over the scalar types used in this package.
 
-Vectors are plain lists of scalars (Fractions, ints or number-field
-elements).  Everything is deterministic: pivots are chosen left to right and
-rows are processed in the order supplied.
+A vector is a map {column: nonzero entry} (Fractions, ints or number-field
+elements); a missing column is zero.  `SpanBuilder.add` and `reduce` drop
+the zero entries of a vector on the way in, so a zero is never a pivot, and
+a row's pivot is its smallest column.  Everything is deterministic: pivots
+are chosen left to right and rows are processed in the order supplied.
 
 One elimination step serves every sweep.  A vector u is cleared at the pivot
 column p of a stored row r as
@@ -10,10 +12,10 @@ column p of a stored row r as
     u <- a*u - b*r,    (a, b) = (1, u[p]) when r[p] is one, else
                        (a, b) = (r[p], u[p]) divided by their gcd,
 
-and the step skips the zero entries of r, which is most of them in the
-vectors the section-ring builders pass in; r is zero before p, so u[:p] is
-only multiplied by a.  The gcd pair only arises for int rows.  Stored rows
-come in two forms:
+and the step walks the nonzeros of r only, which are few in the vectors
+the section-ring builders pass in; the entries of u outside r are only
+multiplied by a.  The gcd pair only arises for int rows.  Stored rows come
+in two forms:
 
 * Rational input is eliminated over Python ints, fraction-free.  A vector
   whose entries are all Fractions or ints is multiplied by the lcm L of its
@@ -36,8 +38,8 @@ give exactly what elimination over the field gives:
   of a vector with zeros at the pivot columns is unique: two such residuals
   differ by a span element that vanishes at every pivot column, which is 0.
 
-A `SpanBuilder` starts with int rows; the first time it meets a vector with
-a number-field entry it divides each row by its pivot and keeps pivot-one
+A `SpanBuilder` starts with int rows; the first time it meets a nonzero
+number-field entry it divides each row by its pivot and keeps pivot-one
 rows from then on, because a model over Q(sqrt 2) mixes rational and
 irrational coordinate vectors in one span.
 
@@ -45,16 +47,16 @@ irrational coordinate vectors in one span.
 residual, or None when the vector lies in the span already.  Relations need
 no kernel routine: `section_ring.find_relations` adds the vectors
 (evaluation column | monomial coordinates) to one span and reads each
-relation off a returned row whose column block is zero (proof in its module
-docstring), so `reduce` is not on that path.
+relation off a returned row whose smallest column lies in the monomial
+block (proof in its module docstring), so `reduce` is not on that path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
-_ZERO = Fraction(0)
 _INT = {int}
 
 
@@ -81,8 +83,8 @@ def _scaled_ints(vec):
 
 
 def primitive_multiple(vec) -> list:
-    """A nonzero multiple of vec: primitive ints when every entry is rational,
-    else the entries unchanged.
+    """A nonzero multiple of the list vec: primitive ints when every entry is
+    rational, else the entries unchanged.
 
     Spans, ranks, pivots and kernels do not change when a vector is scaled, so
     callers that only use those may pass this in place of vec.
@@ -95,29 +97,35 @@ def primitive_multiple(vec) -> list:
     return [x // g for x in u] if g > 1 else u
 
 
-def _step(u: list, row: list, p: int) -> tuple[list, int]:
-    """(a*u - b*row, a) with u[p] cleared, walking row from its pivot p."""
+def _step(u: dict, row: dict, p: int) -> tuple[dict, int]:
+    """(a*u - b*row, a) with u[p] cleared, walking the nonzeros of row; u
+    itself is updated when a is one."""
     c, h = u[p], row[p]
     if h == 1:
         a, b = 1, c
     else:
         g = gcd(c, h)
         a, b = h // g, c // g
-    if a == 1:
-        return u[:p] + [x - b * y if y else x for x, y in zip(u[p:], row[p:])], 1
-    head = [a * x for x in u[:p]]
-    return head + [a * x - b * y if y else a * x for x, y in zip(u[p:], row[p:])], a
+        if a != 1:
+            u = {k: a * x for k, x in u.items()}
+    for k, y in row.items():
+        x = u.get(k, 0) - b * y
+        if x:
+            u[k] = x
+        else:
+            del u[k]
+    return u, a
 
 
-def _stored(u: list, p: int, ints: bool) -> list:
+def _stored(u: dict, p: int, ints: bool) -> dict:
     """u in stored form: primitive ints with u[p] > 0, or u[p] one."""
     if not ints:
         inv = Fraction(1) / u[p]
-        return [x * inv if x else x for x in u]
-    g = gcd(*u)
+        return {k: x * inv for k, x in u.items()}
+    g = gcd(*u.values())
     if u[p] < 0:
         g = -g
-    return u if g in (0, 1) else [x // g for x in u]
+    return u if g == 1 else {k: x // g for k, x in u.items()}
 
 
 class SpanBuilder:
@@ -129,7 +137,7 @@ class SpanBuilder:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[list] = []
+        self.rows: list[dict] = []
         self.pivots: list[int] = []
         self._ints = True
 
@@ -137,48 +145,40 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _eliminate(self, vec) -> tuple[list, int]:
+    def _eliminate(self, vec: dict) -> tuple[dict, int]:
         """(s * residual, s) for vec against the rows, s a positive int."""
-        scaled = _scaled_ints(vec) if self._ints else (list(vec), 1)
+        u = {k: c for k, c in vec.items() if c}
+        scaled = _scaled_ints(u.values()) if self._ints else (u.values(), 1)
         if scaled is None:  # a number-field vector: pivot-one rows for good
             self.rows = [
-                [Fraction(x, row[p]) for x in row] for row, p in zip(self.rows, self.pivots)
+                {k: Fraction(x, row[p]) for k, x in row.items()}
+                for row, p in zip(self.rows, self.pivots)
             ]
             self._ints = False
-            scaled = list(vec), 1
-        u, scale = scaled
+            scaled = u.values(), 1
+        u, scale = dict(zip(u, scaled[0])), scaled[1]
         for row, p in zip(self.rows, self.pivots):
-            if u[p]:
+            if p in u:
                 u, a = _step(u, row, p)
                 scale *= a
         return u, scale
 
-    def _insert(self, row: list, p: int) -> None:
-        # keep rows sorted by pivot so elimination stays a single sweep
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < p:
-            idx += 1
-        self.rows.insert(idx, row)
-        self.pivots.insert(idx, p)
-
-    def reduce(self, vec) -> list:
+    def reduce(self, vec: dict) -> dict:
         """Residual of vec after elimination against the current basis."""
         u, s = self._eliminate(vec)
         if not self._ints:
             return u
-        return [Fraction(x, s) if x else _ZERO for x in u]
+        return {k: Fraction(x, s) for k, x in u.items()}
 
-    def add(self, vec) -> list | None:
+    def add(self, vec: dict) -> dict | None:
         """Add a vector to the span: the row stored for it (see the module
         docstring), or None when it lies in the span already."""
         u = self._eliminate(vec)[0]
-        p = next((i for i, x in enumerate(u) if x), None)
-        if p is None:
+        if not u:
             return None
+        p = min(u)
         row = _stored(u, p, self._ints)
-        self._insert(row, p)
+        idx = bisect_left(self.pivots, p)
+        self.rows.insert(idx, row)
+        self.pivots.insert(idx, p)
         return row
-
-    def contains(self, vec) -> bool:
-        return not any(self._eliminate(vec)[0])
-

@@ -182,10 +182,8 @@ def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
         raise ZeroCandidateError("the candidate is the zero function, which is never prime")
     piece = model.piece(cand.degree)
     if piece not in cand._coords:
-        q = primitive_multiple(piece.member(cand.g))
-        while not q[-1]:
-            q.pop()
-        cand._coords[piece] = q
+        vec = piece.member(cand.g)
+        cand._coords[piece] = primitive_multiple([vec.get(j, 0) for j in range(max(vec) + 1)])
     return cand._coords[piece]
 
 

@@ -35,11 +35,12 @@ B = prod_x b^e_x with polynomial c / B; c is integral for a rational
 divisor.  One builder, `p1._h0_factors`, multiplies the lists out by plain
 convolution over any scalars, for each piece and each product of the model.
 
-Linear algebra sees only the lists.  Generator discovery asks for spans,
-ranks, pivots and membership, the primality oracle asks whether a product
-lies in the kernel of one row, and none of them changes when a vector is
-multiplied by a nonzero scalar, so they take c and drop B.  Relations are
-kernel vectors, and the kernel does see the scales of single columns.
+Linear algebra sees only the lists, as maps {column: nonzero entry}
+(`Piece.vector`).  Generator discovery asks for spans, ranks, pivots and
+membership, the primality oracle asks whether a product lies in the kernel
+of one row, and none of them changes when a vector is multiplied by a
+nonzero scalar, so they take c and drop B.  Relations are kernel vectors,
+and the kernel does see the scales of single columns.
 Monomial k has column M_k = w^s_k * c_k / B_k of the evaluation map M, and
 `find_relations` enters it as (w^s_k * c_k | B_k*e_k) = B_k * (M_k | e_k):
 a nonzero multiple of a vector moves no pivot and only scales its residual,
@@ -52,8 +53,11 @@ block of length m): each consequence c of an earlier relation as (0 | c),
 then monomial k as (M_k | e_k), entered as B_k times it (above), in
 `exponent_vectors` order.  Each vector is eliminated once, and
 `SpanBuilder.add` stores its residual as a row, scaled to primitive ints or
-to pivot one, and returns that row.  A residual (0 | w) is a new relation
-w, normalized to lead one.  It is read off the stored row (0 | w'): w' is a
+to pivot one, and returns that row.  A consequence c enters as the map
+{dim R_n + index of the monomial: coefficient}: the terms of a relation have
+distinct exponents, and so do their shifts.  A residual (0 | w) is a new
+relation w, normalized to lead one.  It is read off the stored row
+(0 | w'), the row whose smallest column lies in the monomial block: w' is a
 nonzero multiple of w, so w' normalized to lead one (the terms w'_i / w'_p,
 p its pivot) is the same relation.  These are the relations of the kernel
 route: take the canonical kernel basis of M, read off its reduced row
@@ -177,6 +181,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .divisors import InfinityP1, ProjectiveLine, QDivisor
 from .errors import (
@@ -262,16 +267,15 @@ class Piece:
         den, mand = self._rr()
         return RationalFunctionP1(q * mand, den)
 
-    def vector(self, coeffs, shift: int = 0) -> list:
-        """Coordinate vector of the section with coordinate polynomial
-        w^shift * coeffs (coefficients lowest degree first, the last one
+    def vector(self, coeffs, shift: int = 0) -> dict:
+        """Coordinates {column: nonzero entry} of the section with coordinate
+        polynomial w^shift * coeffs (lowest degree first, the last one
         nonzero); raises MembershipError when that is no section."""
-        pad = self.dim - shift - len(coeffs)
-        if pad < 0:
+        if shift + len(coeffs) > self.dim:
             raise MembershipError(
                 f"product of sections left the ring in degree {self.degree_t}"
             )
-        return [0] * shift + list(coeffs) + [0] * pad
+        return {shift + i: c for i, c in enumerate(coeffs) if c}
 
     def coords(self, f: RationalFunctionP1):
         """Coordinates of f in this piece's basis, or None if f is no member:
@@ -279,14 +283,14 @@ class Piece:
         when denom divides den and mand divides numer * (den / denom), and the
         quotient, of degree at most the cap, is the coordinate polynomial."""
         if f.is_zero:
-            return [Fraction(0)] * self.dim
+            return {}
         den, mand = self._rr()
         p, rem = poly_divrem(f.numer * den, f.denom * mand)
         if not rem.is_zero or p.degree > self._cap:
             return None
         return self.vector(p.coeffs)
 
-    def member(self, f: RationalFunctionP1) -> list:
+    def member(self, f: RationalFunctionP1) -> dict:
         vec = self.coords(f)
         if vec is None:
             raise MembershipError(
@@ -605,9 +609,7 @@ def find_relations(model: SectionRing) -> list[Relation]:
             if found == full:
                 break
             for mu in monos_of(n - rel_degree):
-                vec = [0] * (dim + len(monos))
-                for expo, coeff in terms:
-                    vec[dim + index[tuple(a + b for a, b in zip(expo, mu))]] += coeff
+                vec = {dim + index[tuple(map(add, expo, mu))]: c for expo, c in terms}
                 found += span.add(vec) is not None
                 if found == full:
                     break
@@ -616,15 +618,15 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 if found == full:
                     break
                 shift, coeffs, B = model.monomial_coords(e)
-                vec = piece.vector(coeffs, shift) + [0] * len(monos)
+                vec = piece.vector(coeffs, shift)
                 vec[dim + k] = B
                 row = span.add(vec)
-                if row is None or any(row[:dim]):
+                if row is None or min(row) < dim:
                     continue
-                nonzero = [(i, c) for i, c in enumerate(row[dim:]) if c]
-                inv = Fraction(1) / nonzero[0][1]
-                relations.append(Relation(n, tuple((monos[i], c * inv) for i, c in nonzero)))
-                scaled_terms.append((n, [(monos[i], c) for i, c in nonzero]))
+                terms = [(monos[i - dim], c) for i, c in sorted(row.items())]
+                inv = Fraction(1) / terms[0][1]
+                relations.append(Relation(n, tuple((expo, c * inv) for expo, c in terms)))
+                scaled_terms.append((n, terms))
                 found += 1
         new = [
             monos[p - dim] for p in span.pivots[span.rank - found:]

@@ -857,6 +857,38 @@ def test_relations_far_past_the_last_one_finish(tmp_path, divisor, bound, degree
     assert out["relation_degrees"] == degrees
 
 
+def test_sparse_relation_spans_finish(tmp_path):
+    """ring --emit relations at bound 28 on 2[-1] - 7/4[1/2] + 2[7] - 7/6[1]
+    (7 generators, 15 relations in degrees <= 10), where the count still
+    forms most degrees up to the bound; about 15 s while each span
+    eliminated dense lists over 99 % zero.  The relations are those at bound
+    16."""
+    divisor = [
+        {"point": "-1", "coeff": "2"},
+        {"point": "1/2", "coeff": "-7/4"},
+        {"point": "7", "coeff": "2"},
+        {"point": "1", "coeff": "-7/6"},
+    ]
+    path = write_job(tmp_path, {"divisor": divisor})
+
+    def relations(bound):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsection", "ring", "--input", path,
+             "--bound", str(bound), "--emit", "relations"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    high, low = relations(28), relations(16)
+    assert high["relations"] == low["relations"]
+    assert len(low["relations"]) == 15
+    assert max(low["relation_degrees"]) == 10
+
+
 def test_deep_recursion_is_a_domain_error(tmp_path, capsys):
     """1000*[inf] has 1001 generators in degree 1, and `exponent_vectors`
     recurses once per generator: past the recursion limit the job exits 1

@@ -1,12 +1,17 @@
-"""Exact elimination: int rows against pivot-one rows, and against sympy.
+"""Exact elimination: int rows against pivot-one rows, against the dense
+reference builder, and against sympy.
 
-Rational input is eliminated over ints.  The same elimination on pivot-one
-rows (the form number-field input takes) is checked against it: a rational
-span is given pivot-one rows here by adding a number-field zero vector,
-which changes nothing.  Both share one elimination step, so sympy's `rref`
-is the independent reference, over Q and over Q(sqrt 2).  The field
-Gauss-Jordan `kernel_basis` of the tests, the reference for relations, is
-checked against sympy's `nullspace` here too.
+`SpanBuilder` takes vectors as maps {column: entry}; the strategies draw
+plain lists, and `as_map` turns them into maps.  Rational input is
+eliminated over ints.  The same elimination on pivot-one rows (the form
+number-field input takes) is checked against it: the dense reference of
+`dense_span` is given pivot-one rows by adding a number-field zero vector,
+which changes nothing else.  The map builder takes the reference's (a, b)
+steps, and stores the same rows, pivots and residuals, over ints,
+Fractions, Q(sqrt 2) and mixed lists.  sympy's `rref` is the independent
+reference, over Q and over Q(sqrt 2).  The field Gauss-Jordan `kernel_basis`
+of the tests, the reference for relations, is checked against sympy's
+`nullspace` here too.
 """
 
 import random
@@ -16,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_span
+from dense_span import dense
 from field_kernel import kernel_basis
 from qsection.exact_arith import NumberField, NumberFieldElem
 from qsection.linalg import SpanBuilder
@@ -44,16 +51,23 @@ def nf_entry(rng):
     return NumberFieldElem(Q_SQRT2, (F(entry(rng)), F(entry(rng))))
 
 
+def int_entry(rng):
+    return rng.randint(-5, 5)
+
+
 @st.composite
-def vector_lists(draw, max_dim=6, max_count=8, nf=False):
+def vector_lists(draw, max_dim=6, max_count=8, nf=False, ints=False):
     """(dim, vectors): random vectors, zero vectors and combinations of
     earlier vectors, so spans of low rank show up; over Q(sqrt 2) when nf is
-    set.  The shape is drawn by hypothesis, the entries by a random source
-    seeded with a drawn integer."""
+    set, of small ints when ints is set.  The shape is drawn by hypothesis,
+    the entries by a random source seeded with a drawn integer."""
     dim = draw(st.integers(0, max_dim))
     kinds = draw(st.lists(st.sampled_from(KINDS), max_size=max_count))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    zero, scalar = (Q_SQRT2.zero(), nf_entry) if nf else (F(0), entry)
+    if nf:
+        zero, scalar = Q_SQRT2.zero(), nf_entry
+    else:
+        zero, scalar = (0, int_entry) if ints else (F(0), entry)
     out = []
     for kind in kinds:
         if kind == "zero" or (kind == "combination" and not out):
@@ -69,9 +83,15 @@ def vector_lists(draw, max_dim=6, max_count=8, nf=False):
     return dim, out
 
 
+def as_map(vec):
+    """The map {column: entry} of a list, its zero entries left out."""
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 def field_span(dim):
-    """A SpanBuilder that has met a number-field vector: pivot-one rows."""
-    span = SpanBuilder(dim)
+    """A dense reference builder that has met a number-field vector:
+    pivot-one rows."""
+    span = dense_span.SpanBuilder(dim)
     assert not span.add([Q_SQRT2.zero()] * dim)
     return span
 
@@ -83,15 +103,15 @@ def test_span_matches_field_path(case, probe_case, data):
     probes = [v[:dim] + [F(0)] * (dim - len(v)) for v in probe_case[1]] + vecs[-2:]
     span, ref = SpanBuilder(dim), field_span(dim)
     for v in vecs:
-        row, ref_row = span.add(v), ref.add(v)
+        row, ref_row = span.add(as_map(v)), ref.add(v)
         assert (row is None) == (ref_row is None)
         if row is not None:
             # add returns the row it stored: a primitive int row here, whose
             # division by its pivot entry is the reference's pivot-one row
             assert any(r is row for r in span.rows)
-            p = next(i for i, x in enumerate(row) if x)
-            assert row[p] > 0 and all(type(x) is int for x in row)
-            assert [F(x, row[p]) for x in row] == ref_row
+            p = min(row)
+            assert row[p] > 0 and all(type(x) is int for x in row.values())
+            assert dense({k: F(x, row[p]) for k, x in row.items()}, dim) == ref_row
         assert span.pivots == ref.pivots
     assert span.rank == ref.rank
     if dim and data.draw(st.integers(0, 3)) == 0:
@@ -99,16 +119,20 @@ def test_span_matches_field_path(case, probe_case, data):
         # gives the span the pivot-one rows it would have held all along
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         nf_vec = [nf_entry(rng) for _ in range(dim)]
-        assert span.add(nf_vec) == ref.add(nf_vec)
-        assert span.rows == ref.rows and span.pivots == ref.pivots
+        if not any(nf_vec):  # as a map, a zero vector has no number-field entry
+            nf_vec[0] = SQRT2
+        row, ref_row = span.add(as_map(nf_vec)), ref.add(nf_vec)
+        assert (row is None) == (ref_row is None)
+        assert row is None or dense(row, dim) == ref_row
+        assert [dense(r, dim) for r in span.rows] == ref.rows and span.pivots == ref.pivots
         probes.append(nf_vec)
     for v in probes:
-        res = span.reduce(v)
-        assert res == ref.reduce(v)
-        assert all(res[p] == 0 for p in span.pivots)
-        assert span.contains(v) == ref.contains(v) == (not any(res))
+        res = span.reduce(as_map(v))
+        assert dense(res, dim) == ref.reduce(v)
+        assert all(p not in res for p in span.pivots)
+        assert (not span.reduce(as_map(v))) == ref.contains(v) == (not any(res.values()))
     for v in vecs:
-        assert span.contains(v)
+        assert not span.reduce(as_map(v))
 
 
 EXACT_TYPES = (int, F, NumberFieldElem)
@@ -161,9 +185,57 @@ def test_outputs_stay_exact_on_mixed_scalars(case):
     dim, vecs = case
     span = SpanBuilder(dim)
     for v in vecs:
-        span.add(v)
-        assert_exact(span.rows)
-    assert_exact(span.reduce(v) for v in vecs)
+        span.add(as_map(v))
+        assert_exact(row.values() for row in span.rows)
+    assert_exact(span.reduce(as_map(v)).values() for v in vecs)
+
+
+@given(
+    st.one_of(
+        vector_lists(ints=True),
+        vector_lists(),
+        vector_lists(max_dim=4, max_count=6, nf=True),
+        mixed_vector_lists(),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_map_builder_matches_dense_reference(case, seed):
+    """The map builder stores the dense reference's rows and pivots, returns
+    its rows from `add`, and its residuals from `reduce`, entry for entry and
+    type for type, over ints, Fractions, Q(sqrt 2) and mixed scalars.  Each
+    vector is reduced before it is added, so residuals are nonzero too."""
+    dim, vecs = case
+    rng = random.Random(seed)
+    span, ref = SpanBuilder(dim), dense_span.SpanBuilder(dim)
+    for v in vecs:
+        # the map keeps some explicit zeros, of the vector's own scalar types
+        vec = {i: x for i, x in enumerate(v) if x or rng.random() < 0.5}
+        # the reference meets the same vector with int zeros: a number-field
+        # zero would move it to pivot-one rows, and `add` drops every zero
+        ref_vec = dense(as_map(v), dim)
+        res, ref_res = span.reduce(vec), ref.reduce(ref_vec)
+        assert dense(res, dim) == ref_res
+        assert all(x and type(x) is type(ref_res[k]) for k, x in res.items())
+        row, ref_row = span.add(vec), ref.add(ref_vec)
+        assert (row is None) == (ref_row is None)
+        if row is not None:
+            assert row is span.rows[span.pivots.index(min(row))]
+            assert dense(row, dim) == ref_row
+            assert all(type(x) is type(ref_row[k]) for k, x in row.items())
+        assert span.pivots == ref.pivots
+        assert [dense(r, dim) for r in span.rows] == ref.rows
+        assert all(all(r.values()) and min(r) == p for r, p in zip(span.rows, span.pivots))
+
+
+def test_an_explicit_zero_is_never_a_pivot():
+    span = SpanBuilder(3)
+    assert span.add({0: 0, 2: 3}) == {2: 1}
+    assert span.pivots == [2]
+    # a number-field zero is dropped as well, so the rows stay integral
+    assert span.add({0: Q_SQRT2.zero(), 1: F(1, 2)}) == {1: 1}
+    assert span.pivots == [1, 2]
+    assert all(type(x) is int for row in span.rows for x in row.values())
 
 
 class TestFieldPath:
@@ -171,19 +243,21 @@ class TestFieldPath:
 
     def test_rational_span_keeps_integer_rows(self):
         span = SpanBuilder(3)
-        span.add([F(1, 2), F(2, 3), F(0)])
-        span.add([F(0), F(5, 7), F(-1)])
-        assert all(type(x) is int for row in span.rows for x in row)
-        assert span.reduce([F(1, 2), F(29, 21), F(-1, 3)]) == [F(0), F(0), F(2, 3)]
+        span.add(as_map([F(1, 2), F(2, 3), F(0)]))
+        span.add(as_map([F(0), F(5, 7), F(-1)]))
+        assert all(type(x) is int for row in span.rows for x in row.values())
+        assert dense(span.reduce(as_map([F(1, 2), F(29, 21), F(-1, 3)])), 3) == [
+            F(0), F(0), F(2, 3)
+        ]
 
     def test_number_field_vector_moves_span_to_field_rows(self):
         span = SpanBuilder(2)
-        span.add([F(2), F(3)])
-        span.add([SQRT2, F(1)])
+        span.add(as_map([F(2), F(3)]))
+        span.add(as_map([SQRT2, F(1)]))
         assert span.rank == 2
         assert [row[p] for row, p in zip(span.rows, span.pivots)] == [1, 1]
-        assert any(isinstance(x, NumberFieldElem) for row in span.rows for x in row)
-        assert span.contains([F(1), SQRT2])
+        assert any(isinstance(x, NumberFieldElem) for row in span.rows for x in row.values())
+        assert not span.reduce(as_map([F(1), SQRT2]))
 
     def test_number_field_kernel(self):
         # x + sqrt2 * y = 0 has kernel (-sqrt2, 1)
@@ -196,8 +270,8 @@ class TestFieldPath:
         assert kernel_basis([[], []], 0) == [[F(1), F(0)], [F(0), F(1)]]
         assert kernel_basis([[F(0)], [F(0)]], 1) == [[F(1), F(0)], [F(0), F(1)]]
         span = SpanBuilder(0)
-        assert not span.add([])
-        assert span.reduce([]) == [] and span.contains([])
+        assert not span.add({})
+        assert span.reduce({}) == {}
 
 
 def sympy_rational(x):
@@ -223,7 +297,7 @@ def test_span_pivots_match_sympy_rref(case):
     dim, vecs = case
     span = SpanBuilder(dim)
     for v in vecs:
-        span.add(v)
+        span.add(as_map(v))
     matrix = sympy.Matrix(len(vecs), dim, lambda i, j: sympy_rational(vecs[i][j]))
     assert span.pivots == list(matrix.rref()[1])
     assert span.rank == matrix.rank()
@@ -281,12 +355,12 @@ def test_number_field_span_matches_sympy_rref(case):
     dim, vecs = case
     span = SpanBuilder(dim)
     for v in vecs:
-        span.add(v)
+        span.add(as_map(v))
     if not (dim and vecs):
         assert span.rank == 0
         return
     matrix = QSqrt2().matrix(vecs, dim)
     assert span.pivots == list(matrix.rref()[1])
     for v in vecs:
-        assert span.contains(v)
-        assert not any(span.reduce(v))
+        assert not span.reduce(as_map(v))
+        assert not any(span.reduce(as_map(v)).values())

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dense_span
+from dense_span import dense
 from field_kernel import kernel_basis
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import (
@@ -110,7 +112,7 @@ class TestPiece:
 
     def test_zero_is_member(self):
         piece = Piece(D_HALF, 2)
-        assert piece.coords(rf((0,))) == [F(0), F(0)]
+        assert piece.coords(rf((0,))) == {}
 
 
 class TestExponentVectors:
@@ -404,7 +406,7 @@ def reference_coords(piece, f):
     """Coordinates of f by the two-step cofactor route: den / f.denom must
     be exact, and then f.numer * cofactor / mand."""
     if f.is_zero:
-        return [F(0)] * piece.dim
+        return {}
     if piece.dim == 0:
         return None
     den, mand = piece._rr()
@@ -447,7 +449,7 @@ class TestCoordsAgainstCofactorRoute:
             assert piece.coords(g) == reference_coords(piece, g)
         assert piece.coords(f * pole) is None
         assert piece.coords(past_cap) is None
-        assert piece.coords(rf((0,))) == [0] * piece.dim
+        assert piece.coords(rf((0,))) == {}
 
     @pytest.mark.parametrize("curve", [P1, ProjectiveLine(Q_SQRT2)], ids=["Q", "Q(sqrt 2)"])
     @pytest.mark.parametrize("D", [D_HALF, D_SCROLL, D_42], ids=["half", "scroll", "42"])
@@ -628,7 +630,7 @@ class TestReferenceCrossChecks:
             columns = []
             for e in monos:
                 shift, coeffs, _ = ref.monomial_coords(e)
-                columns.append(piece.vector(coeffs, shift))
+                columns.append(dense(piece.vector(coeffs, shift), piece.dim))
             assert len(kernel_basis(columns, piece.dim)) == len(monos) - piece.dim
 
 
@@ -637,7 +639,7 @@ def reference_find_relations(model):
     reference for both: every degree up to the bound spans the consequences
     of earlier relations, and where they fall short of the counted kernel
     dimension the canonical kernel basis (plain field Gauss-Jordan) is
-    reduced against them."""
+    reduced against them, in the dense reference builder."""
     degrees = [g.degree for g in model.generators]
     relations = []
     scaled_terms = []
@@ -648,7 +650,7 @@ def reference_find_relations(model):
         if full <= 0:
             continue
         index = {e: i for i, e in enumerate(monos)}
-        consequences = SpanBuilder(len(monos))
+        consequences = dense_span.SpanBuilder(len(monos))
         for rel_degree, terms in scaled_terms:
             if consequences.rank == full:
                 break
@@ -664,7 +666,10 @@ def reference_find_relations(model):
         coords = [model.monomial_coords(e) for e in monos]
         L = math.lcm(*(B for _, _, B in coords))
         columns = [
-            piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift)
+            dense(
+                piece.vector([c * (L // B) for c in coeffs] if B != L else coeffs, shift),
+                piece.dim,
+            )
             for shift, coeffs, B in coords
         ]
         for v in kernel_basis(columns, piece.dim):
@@ -697,8 +702,8 @@ def kernel_leading_monomials(model, n):
     columns = []
     for e in monos:
         shift, coeffs, _ = model.monomial_coords(e)
-        columns.append(piece.vector(coeffs, shift))
-    span = SpanBuilder(len(monos))
+        columns.append(dense(piece.vector(coeffs, shift), piece.dim))
+    span = dense_span.SpanBuilder(len(monos))
     for v in kernel_basis(columns, piece.dim):
         span.add(v)
     return [monos[p] for p in span.pivots]
@@ -776,7 +781,7 @@ class TestLeadingTermCount:
 
         def recording(span, vec):
             grew = add(span, vec)
-            seen.append((span.rank, all(type(x) is int for row in span.rows for x in row)))
+            seen.append((span.rank, all(type(x) is int for row in span.rows for x in row.values())))
             return grew
 
         with mock.patch.object(SpanBuilder, "add", recording):
