@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import ReducibleModulusError
@@ -175,6 +176,43 @@ def convolve(a, b) -> list:
         if x:
             out[i : i + n] = [o + x * y for o, y in zip(out[i : i + n], b)]
     return out
+
+
+def pseudo_divrem(a, b) -> tuple[list, list, object]:
+    """Fraction-free division of coefficient lists: (q, r, s) with
+    s*a = q*b + r, deg r < deg b and s a nonzero scalar (Knuth, TAOCP
+    vol. 2, 4.6.1, Algorithm R).
+
+    b is nonempty with a nonzero last entry.  Each step clears the top of the
+    remainder with no inverse: by the top c itself when the lead L of b is
+    one, else after multiplying the remainder and q by m = L / gcd(c, L) for
+    ints, or by m = L for any other scalar; s is the product of the m.  So
+    ints stay ints, and s divides L^k over k steps.
+    """
+    lead = b[-1]
+    db = len(b) - 1
+    rem = list(a)
+    q = [0] * (len(rem) - db)
+    s = 1
+    monic = lead == 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        if not monic:
+            if type(c) is int and type(lead) is int:
+                g = gcd(c, lead)
+                m, c = lead // g, c // g
+            else:
+                m = lead
+            if m != 1:
+                rem = [m * x for x in rem[:i]]
+                q = [m * x for x in q]
+                s = s * m
+        k = i - db
+        q[k] = c
+        rem[k:i] = [x - c * y for x, y in zip(rem[k:i], b)]
+    return q, rem[:db], s
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:

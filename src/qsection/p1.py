@@ -218,17 +218,35 @@ def _as_poly(coeffs, B: int) -> Poly:
     return Poly([Fraction(c, B) for c in coeffs] if B != 1 else coeffs)
 
 
+def _linear_power(factor, e: int) -> list:
+    """(c0 + c1*w)^e for factor [c0, c1] and e >= 1, by the binomial theorem:
+    the coefficient of w^k is C(e, k) * c0^(e-k) * c1^k."""
+    if e == 1:
+        return factor
+    c0, c1 = factor
+    low, high = [1], [1]
+    for _ in range(e):
+        low.append(low[-1] * c0)
+        high.append(high[-1] * c1)
+    out, binom = [], 1
+    for k in range(e + 1):
+        out.append(binom * low[e - k] * high[k])
+        binom = binom * (e - k) // (k + 1)
+    return out
+
+
 def _h0_factors(exponents) -> tuple[tuple[list, int], tuple[list, int]]:
     """(den, mand) for ((integer factor, b), e) pairs of `_linear_factor` at
     distinct points x: den = prod (w - x)^e over e > 0 and mand =
     prod (w - x)^(-e) over e < 0, monic and coprime, each as (c, B) with
-    polynomial c / B.  The one place where such products are multiplied out."""
+    polynomial c / B.  The one place where such products are multiplied out;
+    each power of a factor is written down at once (`_linear_power`)."""
     den, den_b, mand, mand_b = [1], 1, [1], 1
     for (factor, b), e in exponents:
-        for _ in range(e):
-            den, den_b = convolve(den, factor), den_b * b
-        for _ in range(-e):
-            mand, mand_b = convolve(mand, factor), mand_b * b
+        if e > 0:
+            den, den_b = convolve(den, _linear_power(factor, e)), den_b * b**e
+        elif e < 0:
+            mand, mand_b = convolve(mand, _linear_power(factor, -e)), mand_b * b**-e
     return (den, den_b), (mand, mand_b)
 
 

@@ -33,7 +33,18 @@ line over a number field) enters as the factor -x + w with scale 1.  A
 product prod_x (w - x)^e_x is kept as a coefficient list c and an integer
 B = prod_x b^e_x with polynomial c / B; c is integral for a rational
 divisor.  One builder, `p1._h0_factors`, multiplies the lists out by plain
-convolution over any scalars, for each piece and each product of the model.
+convolution over any scalars (each power (b*w - a)^e written down by the
+binomial theorem), for each piece and each product of the model.  A piece
+keeps its den and mand in this form (`Piece._factors`) and makes Fraction
+polynomials of them only at its edges (`Piece.basis`, `Piece.function`,
+`Generator.func`).  `Piece.coords` reads a function numer / denom on the
+same lists: numer and denom are cleared to coefficient lists with one scale
+each (rational coefficients by the lcm of their denominators, any others
+with scale 1), the products numer * den and denom * mand are convolutions,
+and one fraction-free pseudo-division (`exact_arith.pseudo_divrem`) decides
+membership and gives the quotient times a known scale.  Field scalars are
+built only for the coordinates it returns, so a rational read is Python int
+arithmetic throughout.
 
 Linear algebra sees only the lists, as maps {column: nonzero entry}
 (`Piece.vector`).  Generator discovery asks for spans, ranks, pivots and
@@ -191,8 +202,8 @@ from .errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from .exact_arith import Poly, poly_divrem
-from .linalg import SpanBuilder
+from .exact_arith import Poly, convolve, pseudo_divrem
+from .linalg import SpanBuilder, _scaled_ints
 from .p1 import RationalFunctionP1, _as_poly, _h0_element, _h0_factors, _linear_factor
 
 
@@ -240,21 +251,26 @@ class Piece:
     def __hash__(self):
         return hash((self.divisor, self.degree_t))
 
-    def _rr(self) -> tuple[Poly, Poly]:
-        """Common denominator den and mandatory numerator factor mand of the basis.
+    def _factors(self) -> tuple[tuple[list, int], tuple[list, int]]:
+        """Common denominator den and mandatory numerator factor mand of the
+        basis, as the (c, B) pairs of `_h0_factors`, polynomials c / B.
 
         den = prod (w - x)^e over the points with e = floor(n*c_x) > 0 and
-        mand = prod (w - x)^(-e) over those with e < 0, both monic (`_h0_factors`).
+        mand = prod (w - x)^(-e) over those with e < 0, both monic.
         """
         if self._den_mand is None:
             n = self.degree_t
-            den, mand = _h0_factors(
+            self._den_mand = _h0_factors(
                 (_linear_factor(pt.coord), n * c.numerator // c.denominator)
                 for pt, c in self.divisor.entries
                 if not isinstance(pt, InfinityP1)
             )
-            self._den_mand = _as_poly(*den), _as_poly(*mand)
         return self._den_mand
+
+    def _rr(self) -> tuple[Poly, Poly]:
+        """den and mand of `_factors` as `Poly`s, for the rational-function edges."""
+        den, mand = self._factors()
+        return _as_poly(*den), _as_poly(*mand)
 
     @property
     def basis(self) -> tuple:
@@ -278,17 +294,48 @@ class Piece:
         return {shift + i: c for i, c in enumerate(coeffs) if c}
 
     def coords(self, f: RationalFunctionP1):
-        """Coordinates of f in this piece's basis, or None if f is no member:
-        numer and denom are coprime, so denom * mand divides numer * den just
-        when denom divides den and mand divides numer * (den / denom), and the
-        quotient, of degree at most the cap, is the coordinate polynomial."""
+        """Coordinates of f in this piece's basis, or None if f is no member.
+
+        numer and denom are coprime, so f = numer / denom is a member just
+        when denom * mand divides numer * den with a quotient of degree at
+        most the cap, and that quotient is the coordinate polynomial; its
+        degree is read off the degrees first, so f past the cap is refused
+        before any product.  The division runs on coefficient lists with one
+        scale each: numer = N / a and denom = E / b, with rational
+        coefficients cleared to ints by the lcm of their denominators and any
+        others kept with scale 1, and den = C / B, mand = M / B' as
+        `_factors` keeps them.  Then
+
+            numer * den / (denom * mand) = (N * C) / (E * M) * (b * B') / (a * B),
+
+        and `pseudo_divrem` gives s * N*C = q * E*M + r with deg r < deg E*M
+        and no inverse; s divides L^k, L the lead of E*M and k the number of
+        steps (Algorithm R proper takes s = L^k).  The pseudo-remainder r is
+        zero exactly when the division is exact: if E*M divides N*C over the
+        field, it divides r = s*N*C - q*E*M, whose degree is below that of
+        E*M, so r = 0, as the lead L is nonzero; conversely r = 0 gives
+        N*C / (E*M) = q / s.  So the coordinates are q * (b * B') / (s * a * B),
+        and field scalars are built only for them: a rational f makes no
+        Fraction arithmetic.  Over Q, E (a monic polynomial cleared by the lcm)
+        and M (a product of primitive b*w - a) are primitive, so by Gauss's
+        lemma a member's quotient is integral and s = 1; the division scales
+        only on its way to a nonzero remainder.
+        """
         if f.is_zero:
             return {}
-        den, mand = self._rr()
-        p, rem = poly_divrem(f.numer * den, f.denom * mand)
-        if not rem.is_zero or p.degree > self._cap:
+        (den, den_b), (mand, mand_b) = self._factors()
+        if f.numer.degree + len(den) - f.denom.degree - len(mand) > self._cap:
             return None
-        return self.vector(p.coeffs)
+        numer, a = _scaled_ints(f.numer.coeffs) or (f.numer.coeffs, 1)
+        denom, b = _scaled_ints(f.denom.coeffs) or (f.denom.coeffs, 1)
+        q, rem, s = pseudo_divrem(convolve(numer, den), convolve(denom, mand))
+        if any(rem):
+            return None
+        num, div = b * mand_b, s * a * den_b
+        if type(div) is int and all(type(c) is int for c in q):
+            return {i: Fraction(c * num, div) for i, c in enumerate(q) if c}
+        scale = Fraction(num) / div
+        return {i: c * scale for i, c in enumerate(q) if c}
 
     def member(self, f: RationalFunctionP1) -> dict:
         vec = self.coords(f)

@@ -13,6 +13,7 @@ from qsection.exact_arith import (
     poly_divrem,
     poly_gcd,
     poly_xgcd,
+    pseudo_divrem,
     rational,
 )
 
@@ -188,6 +189,30 @@ def test_divrem_reconstructs(ca, cb):
     q, r = poly_divrem(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
+
+
+SQRT2_FIELD = NumberField((-2, 0, 1))
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda b: b[-1]),
+    st.booleans(),
+)
+def test_pseudo_divrem_is_scaled_long_division(ca, cb, over_nf):
+    # s*a = q*b + r with the quotient and remainder of long division times s;
+    # over Q(sqrt 2) pairs of drawn ints become x + y*sqrt(2)
+    if over_nf:
+        ca = [SQRT2_FIELD.element(ca[i : i + 2]) for i in range(0, len(ca), 2)]
+        cb = [SQRT2_FIELD.element(cb[i : i + 2]) for i in range(0, len(cb), 2)]
+        if not cb[-1]:
+            return
+    q, r, s = pseudo_divrem(ca, cb)
+    want_q, want_r = poly_divrem(Poly(ca), Poly(cb))
+    assert s and Poly(q) == want_q.scale(s) and Poly(r) == want_r.scale(s)
+    assert len(r) == min(len(ca), len(cb) - 1)
+    if not over_nf:
+        assert all(type(c) is int for c in (*q, *r, s))
 
 
 def reference_coords(K: NumberField, cs) -> tuple:

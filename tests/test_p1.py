@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import IrrationalZerosError
-from qsection.exact_arith import NumberField, Poly, poly_divrem
+from qsection.exact_arith import NumberField, Poly, convolve, poly_divrem
 from qsection.p1 import (
     RationalFunctionP1,
     _divisors_of_int,
+    _h0_factors,
+    _linear_factor,
     _rational_linear_roots,
     divisor_of,
     principal_function,
@@ -230,3 +232,45 @@ class TestLinearRoots:
         assert list(got_roots.items()) == list(want_roots.items())
         assert got_residual == want_residual
         assert repr(got_residual) == repr(want_residual)
+
+
+def reference_h0_factors(exponents):
+    """(den, mand) by the one-factor loop the binomial powers replaced:
+    (w - x)^e as e convolutions by the linear factor."""
+    den, den_b, mand, mand_b = [1], 1, [1], 1
+    for (factor, b), e in exponents:
+        for _ in range(e):
+            den, den_b = convolve(den, factor), den_b * b
+        for _ in range(-e):
+            mand, mand_b = convolve(mand, factor), mand_b * b
+    return (den, den_b), (mand, mand_b)
+
+
+Q_SQRT2 = NumberField((-2, 0, 1))
+
+
+@st.composite
+def linear_factor_powers(draw):
+    """((factor, b), e) of `_linear_factor` at 1-3 distinct points, with
+    |e| <= 40: rational points, or, one draw in three, points x + y*sqrt(2)
+    of Q(sqrt 2), of which at most two keep the reference loop short."""
+    if draw(st.integers(0, 2)):
+        xs = draw(st.lists(small_rationals, min_size=1, max_size=3, unique=True))
+    else:
+        pairs = draw(st.lists(st.tuples(small_rationals, small_rationals),
+                              min_size=1, max_size=2, unique=True))
+        xs = [Q_SQRT2.element(pair) for pair in pairs]
+    return [(_linear_factor(x), draw(st.integers(-40, 40))) for x in xs]
+
+
+class TestH0Factors:
+    @given(linear_factor_powers())
+    @settings(max_examples=100)
+    def test_binomial_powers_match_the_one_factor_loop(self, exponents):
+        assert _h0_factors(exponents) == reference_h0_factors(exponents)
+
+    def test_powers_of_one_point(self):
+        # (2w - 3)^3 = 8w^3 - 36w^2 + 54w - 27, over 2^3
+        factor = _linear_factor(F(3, 2))
+        assert _h0_factors([(factor, 3)]) == (([-27, 54, -36, 8], 8), ([1], 1))
+        assert _h0_factors([(factor, -1)]) == (([1], 1), ([-3, 2], 2))

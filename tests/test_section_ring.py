@@ -5,8 +5,11 @@ formula dim R_n = deg floor(nD) + 1 and direct expansion of the candidate
 relations; the model code must reproduce them exactly.
 """
 
+import collections
+import fractions
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction as F
 from unittest import mock
@@ -26,7 +29,7 @@ from qsection.errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from qsection.exact_arith import NumberField, NumberFieldElem, Poly, poly_divrem
+from qsection.exact_arith import NumberField, NumberFieldElem, Poly, poly_divrem, pseudo_divrem
 from qsection.linalg import SpanBuilder, primitive_multiple
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
@@ -420,11 +423,37 @@ def reference_coords(piece, f):
 
 
 small_ints = st.lists(st.integers(-4, 4), max_size=8)
+fraction_lists = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 9)), max_size=10)
+
+
+@st.composite
+def tall_pieces(draw):
+    """A piece of dimension 1 to 10 of a divisor on 1-3 points a/b with
+    |a|, b <= 300, over Q or, one draw in three, on the line over Q(sqrt 2),
+    where one draw in two moves the first point to x + sqrt(2).  den and
+    mand have degree at most 24 together, which keeps the reference's
+    Fraction gcds short."""
+    over_nf = draw(st.integers(0, 2)) == 0
+    coords = draw(st.lists(st.builds(F, st.integers(-300, 300), st.integers(1, 300)),
+                           min_size=1, max_size=3, unique=True))
+    points = [FiniteP1(c) for c in coords]
+    if over_nf and draw(st.booleans()):
+        points[0] = FiniteP1(coords[0] + SQRT2)
+    if draw(st.booleans()):
+        points.append(P1_INFINITY)
+    entries = [(pt, draw(st.builds(F, st.integers(-9, 9), st.integers(1, 7)))) for pt in points]
+    D = QDivisor(ProjectiveLine(Q_SQRT2) if over_nf else P1, entries)
+    n = draw(st.integers(0, 9))
+    assume(sum(abs(n * c.numerator // c.denominator) for pt, c in entries if pt != P1_INFINITY) <= 24)
+    piece = Piece(D, n)
+    assume(0 < piece.dim <= 10)
+    return piece
 
 
 class TestCoordsAgainstCofactorRoute:
-    """`Piece.coords` decides membership by one exact division; the
-    two-step cofactor route is the reference."""
+    """`Piece.coords` decides membership by one fraction-free division over
+    coefficient lists; the two-step cofactor route over Fraction polynomials
+    is the reference, compared value for value."""
 
     @given(small_pieces(), st.integers(0, 6), small_ints, small_ints)
     @settings(max_examples=200)
@@ -461,6 +490,87 @@ class TestCoordsAgainstCofactorRoute:
             for g in (*piece.basis, piece.function(Poly.variable() ** piece.dim)):
                 for h in (g, g * pole):
                     assert piece.coords(h) == reference_coords(piece, h)
+
+    @pytest.mark.parametrize("curve", [P1, ProjectiveLine(Q_SQRT2)], ids=["Q", "Q(sqrt 2)"])
+    def test_degree_42_pieces(self, curve):
+        # 1/2[inf] - 1/3[0] - 1/7[1] has degree 1/42: its pieces of degree 42
+        # and 84 hold the primes-mix candidates, and degree 21 has dimension 1
+        D = QDivisor(curve, D_42.entries)
+        pole = rf((1,), (-3, 1))
+        half = Piece(D, 21).basis[0]
+        for n in (42, 84, 85):
+            piece = Piece(D, n)
+            q = [F(-5, 3), F(7, 2), F(1, 6)][: piece.dim]
+            f = piece.function(Poly(q))
+            assert piece.coords(f) == {i: c for i, c in enumerate(q) if c}
+            past_cap = piece.function(Poly([F(2, 3)]).shifted(piece.dim))
+            for g in (*piece.basis, f, half * half, past_cap, f * pole):
+                assert piece.coords(g) == reference_coords(piece, g)
+            assert piece.coords(past_cap) is None
+            assert piece.coords(f * pole) is None
+
+    @given(tall_pieces(), st.integers(0, 9), fraction_lists, fraction_lists)
+    @settings(max_examples=150)
+    def test_tall_points_and_fraction_coordinates(self, piece, a, qa, qb):
+        D, n = piece.divisor, piece.degree_t
+        a = min(a, n)
+        A, B = Piece(D, a), Piece(D, n - a)
+        product = A.function(Poly(qa[: A.dim])) * B.function(Poly(qb[: B.dim]))
+        q = qa[: piece.dim - 1] + [F(-1, 3)]
+        f = piece.function(Poly(q))
+        assert piece.coords(f) == {i: c for i, c in enumerate(q) if c}
+        foreign = [F(301, 2)] + ([3 * SQRT2] if piece.divisor.curve.field else [])
+        poles = [RationalFunctionP1(Poly.one(), Poly([-x, F(1)])) for x in foreign]
+        past_cap = piece.function(Poly([F(5, 7)]).shifted(piece.dim))
+        for g in (product, f, past_cap, *(f * pole for pole in poles)):
+            assert piece.coords(g) == reference_coords(piece, g)
+        assert piece.coords(past_cap) is None
+        assert all(piece.coords(f * pole) is None for pole in poles)
+
+    def test_fraction_coordinates_and_the_scaled_division(self):
+        # in degree 4, denom * mand is (3w - 11)^3 * (5w + 7)^3, primitive with
+        # lead 3^3 * 5^3.  The member with coordinates [1/3, -2/7, 5/4] divides
+        # with no scaling (Gauss's lemma: its integer quotient is exact), and
+        # its coordinates come from the scale alone; a pole at 301/2 or 2/3
+        # makes the division scale on its way to a nonzero remainder
+        D = d({FiniteP1(F(-7, 5)): F(-2, 3), FiniteP1(F(11, 3)): F(3, 4), P1_INFINITY: F(1, 2)})
+        piece = Piece(D, 4)
+        q = [F(1, 3), F(-2, 7), F(5, 4)]
+        f = piece.function(Poly(q))
+        scales = []
+
+        def spy(a, b):
+            out = pseudo_divrem(a, b)
+            scales.append(out[2])
+            return out
+
+        with mock.patch("qsection.section_ring.pseudo_divrem", spy):
+            assert piece.coords(f) == reference_coords(piece, f) == dict(enumerate(q))
+            assert scales == [1]
+            for pole in (rf((1,), (-301, 2)), rf((1,), (-2, 3))):
+                assert piece.coords(f * pole) is reference_coords(piece, f * pole) is None
+        assert scales[1:] == [4, 3]
+
+    def test_rational_read_makes_no_fraction_arithmetic(self):
+        # Fraction arithmetic runs through fractions._add, _sub, _mul and
+        # _div; a rational read builds Fractions only for its coordinates
+        piece = Piece(D_42, 84)
+        f = piece.function(Poly([F(-5, 3), F(7, 2), F(1, 6)]))
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls[frame.f_code.co_name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            got = piece.coords(f)
+        finally:
+            sys.setprofile(previous)
+        assert got == {0: F(-5, 3), 1: F(7, 2), 2: F(1, 6)}
+        assert calls["__new__"] >= 3                      # the hook sees fractions.py
+        assert sum(calls[name] for name in ("_add", "_sub", "_mul", "_div")) == 0
 
 
 small_coefficients = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
