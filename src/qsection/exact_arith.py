@@ -12,6 +12,12 @@ in the integers.
 A number-field product is reduced by folding with the monic modulus m of
 degree k: from the top, y^i = y^(i-k) * (y^k - m(y)) for each i >= k, in
 place on the coordinate list, with no `Poly`.
+
+`pseudo_divrem` is the one polynomial long-division loop: `poly_divrem`
+runs it on the monic divisor b / lead(b), and root extraction and
+`Piece.coords` run it on integer coefficient lists.  An exact coefficient
+list is cleared to integers with one scale here too: `_scaled_ints` (the
+lcm of the denominators) and `primitive_multiple` (content divided out).
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from math import gcd
 from typing import Union
 
 from .errors import ReducibleModulusError
+
+_INT = {int}
 
 
 def rational(value: Union[int, str, Fraction]) -> Fraction:
@@ -178,6 +186,43 @@ def convolve(a, b) -> list:
     return out
 
 
+def _scaled_ints(vec):
+    """(vec * L as ints, L) with L the lcm of the denominators.
+
+    None when some entry is neither a Fraction nor an int.
+    """
+    types = set(map(type, vec))
+    if types <= _INT:  # what the section-ring builders pass in
+        return list(vec), 1
+    L = 1
+    for c in vec:
+        t = type(c)
+        if t is Fraction:
+            den = c.denominator
+            if L % den:
+                L = L // gcd(L, den) * den
+        elif t is not int:
+            return None
+    if L == 1:
+        return [c.numerator for c in vec], 1
+    return [c.numerator * (L // c.denominator) for c in vec], L
+
+
+def primitive_multiple(vec) -> list:
+    """A nonzero multiple of the list vec: primitive ints when every entry is
+    rational, else the entries unchanged.
+
+    Spans, ranks, pivots and kernels do not change when a vector is scaled, so
+    callers that only use those may pass this in place of vec.
+    """
+    scaled = _scaled_ints(vec)
+    if scaled is None:
+        return list(vec)
+    u = scaled[0]
+    g = gcd(*u)
+    return [x // g for x in u] if g > 1 else u
+
+
 def pseudo_divrem(a, b) -> tuple[list, list, object]:
     """Fraction-free division of coefficient lists: (q, r, s) with
     s*a = q*b + r, deg r < deg b and s a nonzero scalar (Knuth, TAOCP
@@ -216,24 +261,16 @@ def pseudo_divrem(a, b) -> tuple[list, list, object]:
 
 
 def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Long division: returns (q, r) with a = q*b + r and deg r < deg b."""
+    """Long division: returns (q, r) with a = q*b + r and deg r < deg b, by
+    `pseudo_divrem` on the monic b / lead (s = 1), q times 1 / lead."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero or a.degree < b.degree:
         return Poly.zero(), a
     lead_inv = 1 / b.leading
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    q = [Fraction(0)] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        factor = c * lead_inv
-        q[i - db] = factor
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] = rem[i - db + j] - factor * bc
-    return Poly(q), Poly(rem[:db])
+    monic = [c * lead_inv for c in b.coeffs[:-1]] + [1]
+    q, r, _ = pseudo_divrem(a.coeffs, monic)
+    return Poly([c * lead_inv if c else c for c in q]), Poly(r)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -1,4 +1,7 @@
-"""Exact linear algebra over the scalar types used in this package.
+"""Exact row reduction over the scalar types used in this package.
+
+This module is elimination only: a vector is cleared to integers by
+`exact_arith._scaled_ints`, which also serves the polynomial code.
 
 A vector is a map {column: nonzero entry} (Fractions, ints or number-field
 elements); a missing column is zero.  `SpanBuilder.add` and `reduce` drop
@@ -19,9 +22,8 @@ in two forms:
 
 * Rational input is eliminated over Python ints, fraction-free.  A vector
   whose entries are all Fractions or ints is multiplied by the lcm L of its
-  denominators on entry, entry by entry as c.numerator * (L // c.denominator).
-  Stored rows are primitive (content divided out, pivot positive), so the
-  integers stay small.
+  denominators on entry (`_scaled_ints`).  Stored rows are primitive
+  (content divided out, pivot positive), so the integers stay small.
 * Number-field input is eliminated over the field, with every stored row
   divided by its pivot, so its pivot is one and the step is u - u[p]*r.
 
@@ -57,44 +59,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
-_INT = {int}
-
-
-def _scaled_ints(vec):
-    """(vec * L as ints, L) with L the lcm of the denominators.
-
-    None when some entry is neither a Fraction nor an int.
-    """
-    types = set(map(type, vec))
-    if types <= _INT:  # what the section-ring builders pass in
-        return list(vec), 1
-    L = 1
-    for c in vec:
-        t = type(c)
-        if t is Fraction:
-            den = c.denominator
-            if L % den:
-                L = L // gcd(L, den) * den
-        elif t is not int:
-            return None
-    if L == 1:
-        return [c.numerator for c in vec], 1
-    return [c.numerator * (L // c.denominator) for c in vec], L
-
-
-def primitive_multiple(vec) -> list:
-    """A nonzero multiple of the list vec: primitive ints when every entry is
-    rational, else the entries unchanged.
-
-    Spans, ranks, pivots and kernels do not change when a vector is scaled, so
-    callers that only use those may pass this in place of vec.
-    """
-    scaled = _scaled_ints(vec)
-    if scaled is None:
-        return list(vec)
-    u = scaled[0]
-    g = gcd(*u)
-    return [x // g for x in u] if g > 1 else u
+from .exact_arith import _scaled_ints
 
 
 def _step(u: dict, row: dict, p: int) -> tuple[dict, int]:

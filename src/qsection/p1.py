@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .divisors import FiniteP1, InfinityP1, P1_INFINITY, ProjectiveLine, QDivisor
 from .errors import IrrationalZerosError
-from .exact_arith import Poly, convolve, poly_divrem, poly_gcd
+from .exact_arith import Poly, _scaled_ints, convolve, poly_divrem, poly_gcd, pseudo_divrem
 
 
 class RationalFunctionP1:
@@ -133,8 +133,7 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     work = Poly(coeffs)
     if work.degree <= 0:
         return roots, work
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints, scale = _scaled_ints(coeffs)
     content = math.gcd(*ints)  # a constant factor must not widen the search
     ints = [c // content for c in ints]
     lead = abs(ints[-1])
@@ -147,12 +146,13 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
             g = math.gcd(pn, qn)
             candidates.add((pn // g, qn // g))
             candidates.add((-(pn // g), qn // g))
-    # work = ints * content * divided / scale: a root p/q found divides ints by
-    # the primitive q*w - p (exactly, by Gauss's lemma), multiplying divided by q
+    # work = ints * content * divided / scale: a root p/q found divides the
+    # primitive ints by the primitive q*w - p, exactly over Z by Gauss's lemma
+    # (so `pseudo_divrem` scales by s = 1), multiplying divided by q
     divided = 1
     for pn, qn in sorted(candidates, key=lambda c: c[0] * (lead // c[1])):
         while len(ints) > 1 and _homogeneous_value(ints, pn, qn) == 0:
-            ints = _divide_linear(ints, pn, qn)
+            ints = pseudo_divrem(ints, [-pn, qn])[0]
             divided *= qn
             root = Fraction(pn, qn)
             roots[root] = roots.get(root, 0) + 1
@@ -169,17 +169,6 @@ def _homogeneous_value(ints: list[int], p: int, q: int) -> int:
         acc = acc * p + c * qpow
         qpow *= q
     return acc
-
-
-def _divide_linear(ints: list[int], p: int, q: int) -> list[int]:
-    """The quotient of ints by q*w - p, which must divide it exactly."""
-    out = [0] * (len(ints) - 1)
-    carry = 0
-    for i in range(len(ints) - 1, 0, -1):
-        carry = (ints[i] + carry) // q
-        out[i - 1] = carry
-        carry *= p
-    return out
 
 
 def divisor_of(g: RationalFunctionP1, curve: ProjectiveLine | None = None) -> QDivisor:

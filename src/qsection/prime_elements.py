@@ -83,8 +83,7 @@ from .errors import (
     QSectionError,
     ZeroCandidateError,
 )
-from .exact_arith import convolve
-from .linalg import primitive_multiple
+from .exact_arith import convolve, primitive_multiple
 from .p1 import RationalFunctionP1, divisor_of, principal_function
 from .section_ring import SectionRing
 
@@ -97,7 +96,7 @@ class PrimeCandidate:
     g: RationalFunctionP1
     degree: int
     divisor: QDivisor | None = field(default=None, compare=False)
-    _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _read: list = field(default_factory=lambda: [None, None], init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -176,15 +175,17 @@ def veronese_transform(D: QDivisor, s: int) -> QDivisor:
 
 def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
     """A multiple of the candidate's coordinate polynomial in the piece of its
-    degree, read once per (equal) piece and kept on the candidate: primitive
-    ints when rational, lowest degree first, last entry nonzero."""
+    degree, read once per piece and kept on the candidate with the piece it
+    was read in, which is recognized by identity, so no piece is hashed:
+    primitive ints when rational, lowest degree first, last entry nonzero."""
     if cand.g.is_zero:
         raise ZeroCandidateError("the candidate is the zero function, which is never prime")
     piece = model.piece(cand.degree)
-    if piece not in cand._coords:
+    read = cand._read
+    if read[0] is not piece:
         vec = piece.member(cand.g)
-        cand._coords[piece] = primitive_multiple([vec.get(j, 0) for j in range(max(vec) + 1)])
-    return cand._coords[piece]
+        read[:] = piece, primitive_multiple([vec.get(j, 0) for j in range(max(vec) + 1)])
+    return read[1]
 
 
 def _oracle_window(model: SectionRing, d: int) -> int:

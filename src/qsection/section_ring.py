@@ -39,12 +39,12 @@ keeps its den and mand in this form (`Piece._factors`) and makes Fraction
 polynomials of them only at its edges (`Piece.basis`, `Piece.function`,
 `Generator.func`).  `Piece.coords` reads a function numer / denom on the
 same lists: numer and denom are cleared to coefficient lists with one scale
-each (rational coefficients by the lcm of their denominators, any others
-with scale 1), the products numer * den and denom * mand are convolutions,
-and one fraction-free pseudo-division (`exact_arith.pseudo_divrem`) decides
-membership and gives the quotient times a known scale.  Field scalars are
-built only for the coordinates it returns, so a rational read is Python int
-arithmetic throughout.
+each (`exact_arith._scaled_ints`: rational coefficients by the lcm of their
+denominators, any others with scale 1), the products numer * den and
+denom * mand are convolutions, and one fraction-free pseudo-division
+(`exact_arith.pseudo_divrem`) decides membership and gives the quotient
+times a known scale.  Field scalars are built only for the coordinates it
+returns, so a rational read is Python int arithmetic throughout.
 
 Linear algebra sees only the lists, as maps {column: nonzero entry}
 (`Piece.vector`).  Generator discovery asks for spans, ranks, pivots and
@@ -202,8 +202,8 @@ from .errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from .exact_arith import Poly, convolve, pseudo_divrem
-from .linalg import SpanBuilder, _scaled_ints
+from .exact_arith import Poly, _scaled_ints, convolve, pseudo_divrem
+from .linalg import SpanBuilder
 from .p1 import RationalFunctionP1, _as_poly, _h0_element, _h0_factors, _linear_factor
 
 

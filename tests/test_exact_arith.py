@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from long_division import reference_divrem
+from qsection import exact_arith
 from qsection.errors import ReducibleModulusError
 from qsection.exact_arith import (
     NumberField,
+    NumberFieldElem,
     Poly,
     poly_divrem,
     poly_gcd,
@@ -208,17 +211,75 @@ def test_pseudo_divrem_is_scaled_long_division(ca, cb, over_nf):
         if not cb[-1]:
             return
     q, r, s = pseudo_divrem(ca, cb)
-    want_q, want_r = poly_divrem(Poly(ca), Poly(cb))
+    want_q, want_r = reference_divrem(Poly(ca), Poly(cb))
     assert s and Poly(q) == want_q.scale(s) and Poly(r) == want_r.scale(s)
     assert len(r) == min(len(ca), len(cb) - 1)
     if not over_nf:
         assert all(type(c) is int for c in (*q, *r, s))
 
 
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def division_pairs(draw):
+    """(a, b) over Q or Q(sqrt 2), b nonzero: monic or not, and at times
+    longer than a."""
+    scalar = rationals
+    if draw(st.booleans()):
+        scalar = st.builds(lambda x, y: SQRT2_FIELD.element([x, y]), rationals, rationals)
+    a = draw(st.lists(scalar, max_size=6))
+    b = draw(st.lists(scalar, min_size=1, max_size=8).filter(lambda b: b[-1]))
+    if draw(st.booleans()):
+        b[-1] = b[-1] / b[-1]
+    return Poly(a), Poly(b)
+
+
+@given(division_pairs())
+def test_poly_divrem_matches_long_division(pair):
+    # the same quotient and remainder, coefficient types included
+    got, want = poly_divrem(*pair), reference_divrem(*pair)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_poly_divrem_divides_by_the_monic_divisor(monkeypatch):
+    # every division goes through pseudo_divrem by a monic divisor, which
+    # scales nothing; a number-field lead is inverted once, and its inverse
+    # divides by the modulus over Q on the way
+    calls, inverses = [], []
+    real_pseudo, real_inverse = exact_arith.pseudo_divrem, NumberFieldElem.inverse
+
+    def spy(a, b):
+        out = real_pseudo(a, b)
+        calls.append((b[-1], out[2]))
+        return out
+
+    def counted_inverse(self):
+        inverses.append(self)
+        return real_inverse(self)
+
+    r2 = SQRT2_FIELD.gen()
+    a, b = Poly([1, r2, 3, 2 * r2, 5]), Poly([r2, 1, 1 + r2])
+    want = reference_divrem(a, b)
+    monkeypatch.setattr(exact_arith, "pseudo_divrem", spy)
+    monkeypatch.setattr(NumberFieldElem, "inverse", counted_inverse)
+    assert poly_divrem(a, b) == want
+    assert inverses == [1 + r2]
+    assert len(calls) > 1 and set(calls) == {(1, 1)}
+    calls.clear()
+    a, b = poly(1, 2, 3, 4), poly(5, (2, 3))
+    assert poly_divrem(a, b) == reference_divrem(a, b)
+    assert calls == [(1, 1)] and inverses == [1 + r2]
+
+
 def reference_coords(K: NumberField, cs) -> tuple:
     """The reduction by long division: the remainder of sum cs[i]*y^i by the
     modulus, padded to the degree of the field."""
-    rem = poly_divrem(Poly(cs), Poly(K.min_poly))[1].coeffs
+    rem = reference_divrem(Poly(cs), Poly(K.min_poly))[1].coeffs
     return tuple(rem) + (F(0),) * (K.degree - len(rem))
 
 
@@ -226,12 +287,6 @@ def moduli():
     """Monic integer moduli of degree 1 to 4; y^2 - 1 is reducible."""
     drawn = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(lambda low: (*low, 1))
     return st.one_of(st.just((-1, 0, 1)), drawn)
-
-
-rationals = st.one_of(
-    st.integers(-30, 30),
-    st.fractions(min_value=-20, max_value=20, max_denominator=12),
-)
 
 
 class TestFold:

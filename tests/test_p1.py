@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import IrrationalZerosError
-from qsection.exact_arith import NumberField, Poly, convolve, poly_divrem
+from long_division import reference_divrem
+from qsection.exact_arith import NumberField, Poly, convolve, pseudo_divrem
 from qsection.p1 import (
     RationalFunctionP1,
     _divisors_of_int,
@@ -147,13 +149,11 @@ class TestRRBasis:
             rr_basis(d({FiniteP1(0): F(1, 2)}))
 
     def test_echelon_over_common_denominator(self):
-        from qsection.exact_arith import poly_divrem
-
         E = d({FiniteP1(0): 2, P1_INFINITY: 1})
         den = Poly([0, 0, 1])              # w^2 clears every pole
         degs = []
         for g in rr_basis(E):
-            cofactor, rem = poly_divrem(den, g.denom)
+            cofactor, rem = reference_divrem(den, g.denom)
             assert rem.is_zero
             degs.append((g.numer * cofactor).degree)
         assert degs == list(range(len(degs)))
@@ -205,7 +205,7 @@ def reference_linear_roots(p: Poly):
             candidates.add(F(-pn, qn))
     for cand in sorted(candidates):
         while work.degree > 0 and work.evaluate(cand) == 0:
-            work = poly_divrem(work, Poly([-cand, F(1)]))[0]
+            work = reference_divrem(work, Poly([-cand, F(1)]))[0]
             roots[cand] = roots.get(cand, 0) + 1
         if work.degree <= 0:
             break
@@ -213,6 +213,39 @@ def reference_linear_roots(p: Poly):
 
 
 small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _iroot(x: int, e: int) -> int:
+    """The largest r >= 0 with r^e <= x."""
+    r = int(round(x ** (1 / e)))
+    while r**e > x:
+        r -= 1
+    while (r + 1) ** e <= x:
+        r += 1
+    return r
+
+
+@st.composite
+def primitive_linear_products(draw):
+    """c * prod (b*w - a)^e over 1-3 primitive factors (b > 0, gcd(a, b) = 1)
+    with e <= 5, times w^2 + k one draw in four.  The products of the |a|^e
+    and of the b^e stay at most 10^6, so |a|, b <= 10^6, and the reference,
+    which does not divide out the constant c, can still list the divisors of
+    the constant term and the lead by trial division."""
+    budget_a = budget_b = 10**6
+    p = Poly([draw(st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 30)))])
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.integers(1, 5))
+        a_max, b_max = _iroot(budget_a, e), _iroot(budget_b, e)
+        a, b = draw(st.integers(-a_max, a_max)), draw(st.integers(1, b_max))
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        budget_a //= max(abs(a), 1) ** e
+        budget_b //= b**e
+        p = p * Poly([-a, b]) ** e
+    if not draw(st.integers(0, 3)):
+        p = p * Poly([draw(st.integers(1, 5)), 0, 1])
+    return p
 
 
 class TestLinearRoots:
@@ -232,6 +265,26 @@ class TestLinearRoots:
         assert list(got_roots.items()) == list(want_roots.items())
         assert got_residual == want_residual
         assert repr(got_residual) == repr(want_residual)
+
+    @given(primitive_linear_products())
+    @settings(max_examples=100)
+    def test_exact_division_by_primitive_factors(self, p):
+        # each confirmed root p/q is divided out of the primitive integer form
+        # by q*w - p with no scaling (Gauss's lemma)
+        divisions = []
+
+        def spy(a, b):
+            out = pseudo_divrem(a, b)
+            divisions.append((len(b), out[2]))
+            return out
+
+        with mock.patch("qsection.p1.pseudo_divrem", spy):
+            got_roots, got_residual = _rational_linear_roots(p)
+        want_roots, want_residual = reference_linear_roots(p)
+        assert list(got_roots.items()) == list(want_roots.items())
+        assert got_residual == want_residual
+        assert repr(got_residual) == repr(want_residual)
+        assert divisions == [(2, 1)] * sum(m for r, m in got_roots.items() if r)
 
 
 def reference_h0_factors(exponents):

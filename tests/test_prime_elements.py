@@ -22,8 +22,8 @@ from qsection.errors import (
     QSectionError,
     ZeroCandidateError,
 )
-from qsection.exact_arith import NumberField, Poly, convolve
-from qsection.linalg import SpanBuilder, primitive_multiple
+from qsection.exact_arith import NumberField, Poly, convolve, primitive_multiple
+from qsection.linalg import SpanBuilder
 from qsection.p1 import RationalFunctionP1, divisor_of
 from qsection.prime_elements import (
     OracleResult,
@@ -441,7 +441,7 @@ def counted_coords(monkeypatch) -> list:
 
 class TestCandidateRead:
     """`_candidate_coords` reads a candidate into a piece once and keeps the
-    coordinates on the candidate, keyed by the piece."""
+    coordinates on the candidate, with the piece they were read in."""
 
     def test_profile_and_oracle_read_once(self, model_half, monkeypatch):
         calls = counted_coords(monkeypatch)
@@ -449,6 +449,17 @@ class TestCandidateRead:
         quotient_profile(model_half, cand)
         assert primality_oracle(model_half, cand).is_prime
         assert calls == [model_half.piece(2)]
+
+    def test_a_read_hashes_no_piece(self, model_half, monkeypatch):
+        # the kept read is recognized by identity; Piece.__hash__ hashes the
+        # whole divisor
+        hashes = []
+        piece_hash = Piece.__hash__
+        monkeypatch.setattr(Piece, "__hash__", lambda piece: hashes.append(piece) or piece_hash(piece))
+        cand = PrimeCandidate(X_MINUS_2Y.g, 2)
+        quotient_profile(model_half, cand)
+        assert primality_oracle(model_half, cand).is_prime
+        assert hashes == []
 
     def test_each_model_gets_its_own_coordinates(self, model_half):
         poly_ring = build_section_ring(d({P1_INFINITY: 1}), 2)

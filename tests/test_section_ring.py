@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import dense_span
 from dense_span import dense
 from field_kernel import kernel_basis
+from long_division import reference_divrem
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import (
     BoundTooSmallWarning,
@@ -29,8 +30,8 @@ from qsection.errors import (
     NotAmpleError,
     PoleOrderMismatchError,
 )
-from qsection.exact_arith import NumberField, NumberFieldElem, Poly, poly_divrem, pseudo_divrem
-from qsection.linalg import SpanBuilder, primitive_multiple
+from qsection.exact_arith import NumberField, NumberFieldElem, Poly, primitive_multiple, pseudo_divrem
+from qsection.linalg import SpanBuilder
 from qsection.p1 import RationalFunctionP1, rr_basis
 from qsection.section_ring import (
     Generator,
@@ -413,10 +414,10 @@ def reference_coords(piece, f):
     if piece.dim == 0:
         return None
     den, mand = piece._rr()
-    cofactor, rem = poly_divrem(den, f.denom)
+    cofactor, rem = reference_divrem(den, f.denom)
     if not rem.is_zero:
         return None
-    p, rem = poly_divrem(f.numer * cofactor, mand)
+    p, rem = reference_divrem(f.numer * cofactor, mand)
     if not rem.is_zero or p.degree > piece._cap:
         return None
     return piece.vector(p.coeffs)
