@@ -9,7 +9,11 @@ divisors serialize identically.
 A point is checked where it enters: the `QDivisor` constructor or
 `jsonio.parse_point`.  Derived divisors (`scale`, `-D`, `floor`, `D + E`),
 those `prime_elements` constructs and `p1.divisor_of` hold checked points,
-so `QDivisor._checked` builds them: it only drops zeros and sorts.
+so `QDivisor._checked` builds them: it only drops zeros and sorts.  The
+order is by point, and `scale`, `-D` and `floor` move no point, so they keep
+their operand's order and sort nothing.  The numeric reads (`degree`,
+`is_integral`, `common_denominator`, `fractional_support`) use the integer
+`coefficient_pairs`.
 """
 
 from __future__ import annotations
@@ -88,6 +92,11 @@ def point_sort_key(pt: CurvePoint):
     return (1,)
 
 
+def _sorted(entries) -> list:
+    """(point, coefficient) pairs in canonical order."""
+    return sorted(entries, key=lambda item: point_sort_key(item[0]))
+
+
 class QDivisor:
     """A formal sum of points with exact rational coefficients, in `entries`;
     `coefficient_pairs` has the (numerator, denominator) of each of them."""
@@ -103,19 +112,20 @@ class QDivisor:
             if not curve.contains(lifted):
                 raise MixedCurveError(f"{pt!r} does not lie on {curve!r}")
             merged[lifted] = merged.get(lifted, Fraction(0)) + c
-        self._set(curve, merged.items())
+        self._set(curve, _sorted(merged.items()))
 
     @classmethod
-    def _checked(cls, curve, entries) -> "QDivisor":
-        """The divisor of (point, Fraction) pairs with distinct lifted points on the curve."""
+    def _checked(cls, curve, entries, ordered: bool = False) -> "QDivisor":
+        """The divisor of (point, Fraction) pairs with distinct lifted points
+        on the curve; `ordered` says that they are in canonical order already."""
         D = cls.__new__(cls)
-        D._set(curve, entries)
+        D._set(curve, entries if ordered else _sorted(entries))
         return D
 
     def _set(self, curve, entries) -> None:
+        """Entries in canonical order, zeros dropped here."""
         self.curve = curve
-        items = sorted(entries, key=lambda item: point_sort_key(item[0]))
-        self.entries = tuple((pt, c) for pt, c in items if c)
+        self.entries = tuple((pt, c) for pt, c in entries if c)
         self.coefficient_pairs = tuple((c.numerator, c.denominator) for _, c in self.entries)
 
     def __eq__(self, other):
@@ -139,15 +149,18 @@ class QDivisor:
         return dict(self.entries).get(self.curve.lift_point(pt), Fraction(0))
 
     def degree(self) -> Fraction:
-        return sum((c for _, c in self.entries), Fraction(0))
+        L = self.common_denominator()
+        return Fraction(sum(n * (L // d) for n, d in self.coefficient_pairs), L)
 
     def floor(self) -> "QDivisor":
-        floors = [(pt, Fraction(math.floor(c))) for pt, c in self.entries]
-        return QDivisor._checked(self.curve, floors)
+        floors = [
+            (pt, Fraction(n // d)) for (pt, _), (n, d) in zip(self.entries, self.coefficient_pairs)
+        ]
+        return QDivisor._checked(self.curve, floors, ordered=True)
 
     def scale(self, r) -> "QDivisor":
         r = rational(r)
-        return QDivisor._checked(self.curve, [(pt, c * r) for pt, c in self.entries])
+        return QDivisor._checked(self.curve, [(pt, c * r) for pt, c in self.entries], ordered=True)
 
     def __add__(self, other):
         if not isinstance(other, QDivisor):
@@ -165,22 +178,21 @@ class QDivisor:
         return self + (-other)
 
     def __neg__(self):
-        return QDivisor._checked(self.curve, [(pt, -c) for pt, c in self.entries])
+        return QDivisor._checked(self.curve, [(pt, -c) for pt, c in self.entries], ordered=True)
 
     def fractional_support(self) -> frozenset:
-        return frozenset(pt for pt, c in self.entries if c.denominator != 1)
+        return frozenset(
+            pt for (pt, _), (_, d) in zip(self.entries, self.coefficient_pairs) if d != 1
+        )
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for _, c in self.entries)
+        return all(d == 1 for _, d in self.coefficient_pairs)
 
     def is_effective(self) -> bool:
         return all(c >= 0 for _, c in self.entries)
 
     def common_denominator(self) -> int:
-        out = 1
-        for _, c in self.entries:
-            out = math.lcm(out, c.denominator)
-        return out
+        return math.lcm(*(d for _, d in self.coefficient_pairs))
 
     def single_point(self):
         """The sole point if the divisor is exactly 1*P, else None."""

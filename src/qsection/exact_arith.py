@@ -18,6 +18,21 @@ runs it on the monic divisor b / lead(b), and root extraction and
 `Piece.coords` run it on integer coefficient lists.  An exact coefficient
 list is cleared to integers with one scale here too: `_scaled_ints` (the
 lcm of the denominators) and `primitive_multiple` (content divided out).
+
+`_gcd_loop` is the one gcd loop, the primitive pseudo-remainder sequence
+(Knuth, TAOCP vol. 2, 4.6.1) on `pseudo_divrem`: s*a = q*b + r with s a
+nonzero constant, so a and b have the common divisors of b and r, and the
+degrees fall until a remainder is zero; the last nonzero one is the gcd up
+to a unit.  Each remainder is made primitive (ints) or monic (other
+scalars), which changes no gcd and keeps the coefficients small.  The
+`RationalFunctionP1` constructor reduces by it (`_lowest_terms`): rational
+numer and denom are cleared to ints with one scale each, and their
+primitive gcd g divides both over Z by Gauss's lemma (a primitive factor
+over Q of an int polynomial is one over Z).  So each top coefficient met
+while dividing by g is a multiple of lead(g), `pseudo_divrem` divides
+exactly with s = 1, and the Fractions are built once, when the denominator
+is made monic.  Other scalars divide by the monic gcd, with s = 1 too.
+`poly_gcd` is a wrapper over the same loop.
 """
 
 from __future__ import annotations
@@ -44,7 +59,11 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
 
 
 def scalar_sort_key(x):
-    """Total order on scalars, used only for canonical serialization order."""
+    """Total order on scalars: the key by which divisor entries are ordered
+    (`divisors.point_sort_key`), so that equal divisors serialize the same.
+    A Fraction is its own key."""
+    if type(x) is Fraction:
+        return (0, x)
     if isinstance(x, NumberFieldElem):
         return (1, x.coords)
     return (0, Fraction(x))
@@ -273,13 +292,71 @@ def poly_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly([c * lead_inv if c else c for c in q]), Poly(r)
 
 
+def _primitive(v: list) -> list:
+    """The int list v divided by its content, with a positive last entry (so
+    that `pseudo_divrem` by it scales by s = 1 when the division is exact)."""
+    g = gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    return v if g == 1 else [c // g for c in v]
+
+
+def _monic(v: list) -> list:
+    """The list v divided by its last entry."""
+    inv = Fraction(1) / v[-1]
+    return [c * inv for c in v]
+
+
+def _gcd_loop(a, b, unit) -> list:
+    """A gcd of the coefficient lists a and b, not both empty, by the
+    primitive pseudo-remainder sequence (module docstring): unit, which is
+    `_primitive` for int lists and `_monic` for other scalars, divides each
+    remainder by a unit of Q[w]."""
+    if not b:
+        return unit(a)
+    while True:
+        b = unit(b)
+        r = pseudo_divrem(a, b)[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return b
+        a, b = b, r
+
+
+def _lowest_terms(numer, denom) -> tuple[list, list]:
+    """(n, d) with n / d = numer / denom in lowest terms and d monic, for
+    nonzero coefficient lists, divided exactly by their gcd (module
+    docstring).  An int gcd has a positive lead, since by a negative one
+    `pseudo_divrem` would scale by s = -1."""
+    ints_n, ints_d = _scaled_ints(numer), _scaled_ints(denom)
+    if ints_n is None or ints_d is None:
+        g = _gcd_loop(numer, denom, _monic)
+        if len(g) > 1:
+            numer = pseudo_divrem(numer, g)[0]
+            denom = pseudo_divrem(denom, g)[0]
+        inv = Fraction(1) / denom[-1]
+        return [c * inv for c in numer], [c * inv for c in denom]
+    (n, scale_n), (d, scale_d) = ints_n, ints_d
+    g = _gcd_loop(n, d, _primitive)
+    if len(g) > 1:
+        n = pseudo_divrem(n, g)[0]
+        d = pseudo_divrem(d, g)[0]
+    # numer / denom = (n / scale_n) / (d / scale_d)
+    lead = d[-1]
+    return [Fraction(c * scale_d, lead * scale_n) for c in n], [Fraction(c, lead) for c in d]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by Euclid's algorithm; gcd(p, 0) = monic p."""
+    """Monic gcd by `_gcd_loop`, on int lists when a and b are rational;
+    gcd(p, 0) = monic p."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    while not b.is_zero:
-        a, b = b, poly_divrem(a, b)[1]
-    return a.monic()
+    ints_a, ints_b = _scaled_ints(a.coeffs), _scaled_ints(b.coeffs)
+    if ints_a is None or ints_b is None:
+        return Poly(_gcd_loop(a.coeffs, b.coeffs, _monic))
+    g = _gcd_loop(ints_a[0], ints_b[0], _primitive)
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:

@@ -16,6 +16,7 @@ function and the parts are joined once.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -111,16 +112,25 @@ def _fail(path: str, msg: str):
     raise SchemaError(f"{path}: {msg}")
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(obj, path: str = "rational") -> Fraction:
+    """A JSON int, or a string "p/q" or "p": an optional leading '-' and
+    ASCII digits only, so no float, exponent, '+', space or '_' form."""
     if isinstance(obj, bool):
         _fail(path, "expected a rational, got a boolean")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError):
-            _fail(path, f"not a rational string: {obj!r}")
+        match = _RATIONAL.fullmatch(obj)
+        if match:
+            p, q = match.groups()
+            try:  # int() refuses a string past its digit limit
+                return Fraction(int(p), int(q)) if q else Fraction(int(p))
+            except (ValueError, ZeroDivisionError):
+                pass
+        _fail(path, f"not a rational string: {obj!r}")
     _fail(path, f"expected an integer or 'p/q' string, got {type(obj).__name__}")
 
 

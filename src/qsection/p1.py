@@ -3,7 +3,12 @@
 A rational function is a reduced quotient numer/denom in the affine
 coordinate w; the denominator is kept monic.  The order at infinity equals
 deg(denom) - deg(numer), so functions with divisor supported at declared
-points can be built and factored exactly.
+points can be built and factored exactly.  The constructor reduces by the
+one gcd loop of `exact_arith` (`_lowest_terms`): over Q on integer
+coefficient lists, divided exactly by their primitive gcd, with the
+Fractions built once; over a number field on monic remainders.  Functions
+whose parts are coprime and monic by construction skip it
+(`RationalFunctionP1.reduced`).
 
 The divisor of a user-supplied function is computed by rational-root
 extraction only: any residual factor of degree >= 1 raises IrrationalZeros,
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from .divisors import FiniteP1, InfinityP1, P1_INFINITY, ProjectiveLine, QDivisor
 from .errors import IrrationalZerosError
-from .exact_arith import Poly, _scaled_ints, convolve, poly_divrem, poly_gcd, pseudo_divrem
+from .exact_arith import Poly, _lowest_terms, _scaled_ints, convolve, pseudo_divrem
 
 
 class RationalFunctionP1:
@@ -34,13 +39,8 @@ class RationalFunctionP1:
         if numer.is_zero:
             numer, denom = Poly.zero(), Poly.one()
         else:
-            g = poly_gcd(numer, denom)
-            if g.degree > 0:
-                numer = poly_divrem(numer, g)[0]
-                denom = poly_divrem(denom, g)[0]
-            inv = 1 / denom.leading
-            numer = numer.scale(inv)
-            denom = denom.scale(inv)
+            n, d = _lowest_terms(numer.coeffs, denom.coeffs)
+            numer, denom = Poly(n), Poly(d)
         object.__setattr__(self, "numer", numer)
         object.__setattr__(self, "denom", denom)
 

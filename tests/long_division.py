@@ -1,11 +1,12 @@
 """The `Fraction` long division that `qsection.exact_arith.poly_divrem`
-replaced.
+replaced, and the `Fraction` Euclid that `poly_gcd` and the
+`RationalFunctionP1` constructor ran on it.
 
-A reference for the tests: each step divides the top of the remainder by the
+References for the tests: each step divides the top of the remainder by the
 divisor's lead and subtracts that multiple of the divisor, over any scalars
-that support `+ - * /`.  It shares no code with `exact_arith.pseudo_divrem`,
-through which `poly_divrem` now divides, so the tests that compare with it do
-not check the division loop against itself.
+that support `+ - * /`.  They share no code with `exact_arith.pseudo_divrem`,
+through which `poly_divrem` now divides, nor with the pseudo-remainder gcd
+loop, so the tests that compare with them do not check a loop against itself.
 """
 
 from fractions import Fraction
@@ -32,3 +33,25 @@ def reference_divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         for j, bc in enumerate(b.coeffs):
             rem[i - db + j] = rem[i - db + j] - factor * bc
     return Poly(q), Poly(rem[:db])
+
+
+def reference_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm on `reference_divrem`; gcd(p, 0) = monic p."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    while not b.is_zero:
+        a, b = b, reference_divrem(a, b)[1]
+    return a.monic()
+
+
+def reference_lowest_terms(numer: Poly, denom: Poly) -> tuple[Poly, Poly]:
+    """numer / denom reduced by the Euclid gcd and made denominator-monic, as
+    the `RationalFunctionP1` constructor did; the zero function is 0 / 1."""
+    if numer.is_zero:
+        return Poly.zero(), Poly.one()
+    g = reference_gcd(numer, denom)
+    if g.degree > 0:
+        numer = reference_divrem(numer, g)[0]
+        denom = reference_divrem(denom, g)[0]
+    inv = 1 / denom.leading
+    return numer.scale(inv), denom.scale(inv)

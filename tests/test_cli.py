@@ -201,6 +201,14 @@ class TestRingDivisorMode:
         assert err["error"]["kind"] == "domain"
         assert err["error"]["type"] == "NotAmpleError"
 
+    def test_rational_outside_the_readme_forms_exits_3(self, tmp_path, capsys):
+        for bad in ("1e100000", "1.5", "+1/2", " 1/2"):
+            job = {"divisor": [{"point": "0", "coeff": "1/2"}, {"point": "inf", "coeff": bad}]}
+            code, out, err = run_cli(["ring", "--input", write_job(tmp_path, job)], capsys)
+            assert code == 3 and out is None
+            assert err["error"]["type"] == "SchemaError"
+            assert err["error"]["message"].startswith("divisor[1].coeff: ")
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{nope", encoding="utf-8")

@@ -131,11 +131,11 @@ coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def curve_points(draw):
+def curve_points(draw, kinds=("Q", "sqrt2", "weierstrass")):
     """A curve with a few of its points: the line over Q, the line over
     Q(sqrt 2) with rational points (lifted by the constructor) and the point
     sqrt 2 + c, or a Weierstrass curve with torsion points."""
-    kind = draw(st.sampled_from(["Q", "sqrt2", "weierstrass"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "weierstrass":
         return draw(st.sampled_from(EC_FIXTURES))
     finite = [FiniteP1(c) for c in draw(st.lists(coords, min_size=1, max_size=4, unique=True))]
@@ -185,3 +185,72 @@ class TestDerivedDivisors:
             for pt, c in data.draw(st.permutations(entries))
         ]
         assert parse_divisor(obj, curve) == QDivisor(curve, entries)
+
+
+def assert_built_from_scratch(D, curve, values):
+    """D has the entries, in the same order, and the coefficient pairs of the
+    validating constructor on the (point, value) pairs."""
+    want = QDivisor(curve, values)
+    assert D.curve == want.curve
+    assert D.entries == want.entries
+    assert D.coefficient_pairs == want.coefficient_pairs
+
+
+def assert_fraction_definitions(D):
+    """The numeric reads of D equal their definitions on its Fractions."""
+    cs = [c for _, c in D.entries]
+    degree = D.degree()
+    assert type(degree) is F and degree == sum(cs, F(0))
+    assert D.is_integral() == all(c.denominator == 1 for c in cs)
+    assert D.common_denominator() == math.lcm(*(c.denominator for c in cs))
+    assert D.fractional_support() == frozenset(
+        pt for pt, c in D.entries if c.denominator != 1
+    )
+
+
+class TestDerivedOrder:
+    """Derived divisors on the line keep the canonical entry order that the
+    constructor gives, over Q and over Q(sqrt 2)."""
+
+    @given(st.data())
+    def test_derived_divisors_equal_the_constructor_entry_for_entry(self, data):
+        curve, points = data.draw(curve_points(kinds=("Q", "sqrt2")))
+        D = QDivisor(curve, data.draw(entry_lists(points)))
+        # E overlaps D, and cancels some of its points outright
+        cancelled = data.draw(st.lists(st.sampled_from(D.entries), unique=True)) if D.entries else []
+        E = QDivisor(
+            curve, data.draw(entry_lists(points)) + [(pt, -c) for pt, c in cancelled]
+        )
+        negative = data.draw(coeffs.filter(lambda r: r < 0))
+        fractional = data.draw(coeffs.filter(lambda r: r.denominator > 1))
+        derived = [(D, D.entries), (E, E.entries)]
+        for r in (0, negative, fractional, F(1)):
+            derived.append((D.scale(r), [(pt, c * r) for pt, c in D.entries]))
+        derived.append((-D, [(pt, -c) for pt, c in D.entries]))
+        derived.append((D.floor(), [(pt, math.floor(c)) for pt, c in D.entries]))
+        derived.append((D + E, D.entries + E.entries))
+        derived.append((D.scale(negative) + E.floor(), [
+            *((pt, c * negative) for pt, c in D.entries),
+            *((pt, math.floor(c)) for pt, c in E.entries),
+        ]))
+        for got, values in derived:
+            assert_built_from_scratch(got, curve, values)
+            assert_fraction_definitions(got)
+
+    def test_canonical_order_is_pinned(self):
+        # finite points by coordinate, negative before positive, the point at
+        # infinity last; over Q(sqrt 2) the coordinates in the power basis
+        # compare lexicographically
+        D = d({P1_INFINITY: 1, FiniteP1(2): 1, FiniteP1(F(1, 2)): -3,
+               FiniteP1(-2): F(5, 2), FiniteP1(0): 2, FiniteP1(F(-1, 2)): 1})
+        order = [FiniteP1(F(c)) for c in (-2, F(-1, 2), 0, F(1, 2), 2)] + [P1_INFINITY]
+        for E in (D, D.scale(F(-3, 2)), -D, D.floor(), D + D.scale(F(1, 3))):
+            assert list(E.points()) == order
+        r2 = SQRT2.gen()
+        K = QDivisor(SQRT2_LINE, {P1_INFINITY: 1, FiniteP1(r2): 1, FiniteP1(1): 1,
+                                  FiniteP1(-r2): 1, FiniteP1(-1): 1})
+        assert list(K.points()) == [
+            FiniteP1(SQRT2.from_rational(-1)), FiniteP1(-r2), FiniteP1(r2),
+            FiniteP1(SQRT2.from_rational(1)), P1_INFINITY,
+        ]
+        assert list(K.scale(-1).points()) == list(K.points())

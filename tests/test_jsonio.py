@@ -42,9 +42,19 @@ class TestRational:
         assert parse_rational("-7/2") == F(-7, 2)
 
     def test_rejects_bool_float_and_garbage(self):
-        for bad in (True, 1.5, "one half", "1/0", None):
-            with pytest.raises(SchemaError):
-                parse_rational(bad)
+        # only a JSON int, or "p/q" or "p" with an optional leading '-' and
+        # ASCII digits: no float, exponent, sign '+', space, '_' or other digit
+        for bad in (True, 1.5, "one half", "1/0", None, "1.5", "+3", " 1/2 ", "1_0",
+                    "1e100000", "1/-2", "--1", "-", "1/", "/2", "1/2/3", "\u0663", "3\n", ""):
+            with pytest.raises(SchemaError, match="^coeff: "):
+                parse_rational(bad, "coeff")
+
+    def test_accepts_the_readme_forms(self):
+        assert parse_rational("12") == 12
+        assert parse_rational("-0") == 0
+        assert parse_rational("6/4") == F(3, 2)
+        assert parse_rational("-007/010") == F(-7, 10)
+        assert parse_rational(-(10**30)) == -(10**30)
 
     @given(st.fractions())
     def test_round_trip(self, q):

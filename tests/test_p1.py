@@ -5,13 +5,14 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import IrrationalZerosError
-from long_division import reference_divrem
-from qsection.exact_arith import NumberField, Poly, convolve, pseudo_divrem
+from long_division import reference_divrem, reference_gcd, reference_lowest_terms
+from qsection import exact_arith
+from qsection.exact_arith import NumberField, Poly, convolve, poly_gcd, pseudo_divrem
 from qsection.p1 import (
     RationalFunctionP1,
     _divisors_of_int,
@@ -55,6 +56,86 @@ class TestNormalization:
         assert rf((0, 0, 1)).ord_at_infinity == -2
 
 
+SQRT2 = NumberField((-2, 0, 1))
+gcd_rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def gcd_scalars(over_nf: bool):
+    if over_nf:
+        return st.builds(lambda x, y: SQRT2.element([x, y]), gcd_rationals, gcd_rationals)
+    return gcd_rationals.map(F)
+
+
+@st.composite
+def common_factor_quotients(draw):
+    """(numer, denom) = (a * c, b * c) over Q or Q(sqrt 2): c is a common
+    factor of degree 0 to 3, nothing is monic or primitive on purpose, the
+    two sides are at times scaled by a large common integer, and a may be
+    zero."""
+    scalar = gcd_scalars(draw(st.booleans()))
+    nonzero_top = lambda v: bool(v[-1])
+    c = Poly(draw(st.lists(scalar, min_size=1, max_size=4).filter(nonzero_top)))
+    a = Poly(draw(st.lists(scalar, max_size=4)))
+    b = Poly(draw(st.lists(scalar, min_size=1, max_size=4).filter(nonzero_top)))
+    k = draw(st.sampled_from([1, 6, -(10**12) - 3]))
+    return a * c * Poly([k]), b * c * Poly([k])
+
+
+class TestLowestTerms:
+    """The constructor reduces by the pseudo-remainder gcd loop; the Fraction
+    Euclid it replaced (`tests/long_division.py`) is the reference."""
+
+    @given(common_factor_quotients())
+    @settings(max_examples=200)
+    # a gcd with a negative lead, -w, must be divided out with s = 1
+    @example((Poly([0, -1]), Poly([0, -1, -1])))
+    def test_constructor_matches_the_euclid_reference(self, pair):
+        g = RationalFunctionP1(*pair)
+        numer, denom = reference_lowest_terms(*pair)
+        assert (g.numer, g.denom) == (numer, denom)
+        assert (repr(g.numer), repr(g.denom)) == (repr(numer), repr(denom))
+
+    @given(common_factor_quotients())
+    def test_poly_gcd_matches_the_euclid_reference(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (a, Poly.zero()), (Poly.zero(), b)):
+            if not (x.is_zero and y.is_zero):
+                assert poly_gcd(x, y) == reference_gcd(x, y)
+
+    def test_rational_construction_calls_no_poly_divrem(self):
+        # the Fraction Euclid ran 57 poly_divrem calls per traced primes-mix
+        # pass, all from this constructor; the int loop runs none
+        calls = []
+
+        def spy(name):
+            real = getattr(exact_arith, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+
+            return wrapped
+
+        common = Poly([F(-3, 2), F(1)]) ** 2 * Poly([F(5, 7), F(0), F(2)])
+        numer = common * Poly([F(4), F(-6), F(10, 3)])
+        denom = common * Poly([F(1, 3), F(7)])
+        want = reference_lowest_terms(numer, denom)
+        with mock.patch.object(exact_arith, "poly_divrem", spy("poly_divrem")), \
+                mock.patch.object(exact_arith, "poly_gcd", spy("poly_gcd")):
+            g = RationalFunctionP1(numer, denom)
+            h = g * RationalFunctionP1(denom, Poly([F(3), F(0), F(1)]))
+            q = (g / h) ** -2
+        assert calls == []
+        assert (g.numer, g.denom) == want
+        assert (h.numer, h.denom) == reference_lowest_terms(numer, Poly([F(3), F(0), F(1)]))
+        assert (q.numer, q.denom) == reference_lowest_terms(
+            h.numer**2 * g.denom**2, h.denom**2 * g.numer**2
+        )
+
+
 class TestDivisorOf:
     def test_linear_times_linear_over_w(self):
         g = rf((2, -3, 1), (0, 1))         # (w-1)(w-2)/w
@@ -91,7 +172,7 @@ class TestDivisorOf:
             divisor_of(rf((0,)))
 
 
-SQRT2_LINE = ProjectiveLine(NumberField((-2, 0, 1)))
+SQRT2_LINE = ProjectiveLine(SQRT2)
 
 
 @st.composite
