@@ -9,13 +9,12 @@ a float.  All arithmetic is exact; no floating point enters any
 computation.  The zero polynomial has degree -1, so degree comparisons stay
 in the integers.
 
-A number-field product is reduced by folding with the monic modulus m of
-degree k: from the top, y^i = y^(i-k) * (y^k - m(y)) for each i >= k, in
-place on the coordinate list, with no `Poly`.
-
 `pseudo_divrem` is the one polynomial long-division loop: `poly_divrem`
-runs it on the monic divisor b / lead(b), and root extraction and
-`Piece.coords` run it on integer coefficient lists.  An exact coefficient
+runs it on the monic divisor b / lead(b), root extraction and
+`Piece.coords` run it on integer coefficient lists, and `NumberField.element`
+reduces a number-field product by it, as the remainder by the monic modulus
+m of degree k (s = 1: each step folds y^i = y^(i-k) * (y^k - m(y)) from the
+top, on the coordinate list, with no `Poly`).  An exact coefficient
 list is cleared to integers with one scale here too: `_scaled_ints` (the
 lcm of the denominators) and `primitive_multiple` (content divided out).
 
@@ -396,14 +395,9 @@ class NumberField:
         return len(self.min_poly) - 1
 
     def element(self, coords) -> "NumberFieldElem":
-        cs = [rational(c) for c in coords]
-        k = self.degree
-        while len(cs) > k:  # fold the top power (module docstring)
-            c = cs.pop()
-            if c:
-                for j, m in enumerate(self.min_poly[:k], len(cs) - k):
-                    cs[j] -= c * m
-        cs += [Fraction(0)] * (k - len(cs))
+        # the remainder by the monic modulus (module docstring)
+        cs = pseudo_divrem([rational(c) for c in coords], self.min_poly)[1]
+        cs += [Fraction(0)] * (self.degree - len(cs))
         return NumberFieldElem(self, tuple(cs))
 
     def from_rational(self, q) -> "NumberFieldElem":

@@ -151,20 +151,20 @@ When c_n = dim R_n, J_n = in(K)_n.  J_n lies in in(I)_n, with I the ideal
 of the relations of degree below n, and I_n lies in K_n; equal leading
 monomials give equal dimensions, so I_n = K_n: degree n gains no relation
 and is skipped, with no monomials, consequences or columns.  When
-c_n > dim R_n the degree is formed as before, and its pivots outside J join
-it.  c_n is read off the Hilbert series of S/J, N(J) / prod_g (1 - t^d_g),
-whose numerator is updated per new leading monomial m by the exact sequence
-0 -> S/(J : m)(-deg m) -> S/J -> S/(J + m) -> 0:
+c_n > dim R_n the degree is formed as before, and its pivots join J.
 
-    N(J + m) = N(J) - t^deg(m) * N(J : m),
-
-J : m being generated by the g / gcd(g, m), recursively.  Truncating every
-numerator at the bound is exact: the coefficients of degree <= B of the
-series, and so of the numerator, depend only on J in degrees <= B, that is
-on its generators of degree <= B, and N(J : m) is needed only below
-B - deg m.  Where in(I)_n is larger than J_n (an S-pair that would reduce
-to a new leading monomial) the count stays above dim R_n and the degree is
-formed; no Groebner basis is kept.
+c_n is counted on one set S_m of standard monomials per degree m, with
+S_0 = {1}.  They form an order ideal: with J generated below n, a monomial
+e of degree n lies in J exactly when some e / g_j with e_j > 0 does, since
+a generator m of J that divides e has deg m < n, so m_j < e_j for some j,
+and m divides e / g_j.  Generators of J above degree n - d_j divide no
+monomial of that degree, so S_n is the set of e with e / g_j in S_{n - d_j}
+for every j with e_j > 0 (`_standard`), and the count stops once it passes
+dim R_n.  A formed degree ends with in(K)_n, which holds J_n, as the pivots
+of its monomial block, and the monomials at the other columns become S_n.
+Where in(I)_n is larger than J_n (an S-pair that would reduce to a new
+leading monomial) the count stays above dim R_n and the degree is formed;
+no Groebner basis is kept.
 
 Hilbert series.  With denominator exponents e_j equal to the generator
 degrees, the numerator is the product of the dimension series with
@@ -570,63 +570,61 @@ def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
     return model
 
 
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _keyed(e: tuple, power: list[int]) -> tuple[int, tuple]:
+    """(sum_j e_j * power[j], the indices j with e_j != 0)."""
+    nonzero = tuple(j for j, a in enumerate(e) if a)
+    return sum(e[j] * power[j] for j in nonzero), nonzero
 
 
-def _quotient_numerator(leads: list, degrees: list[int], size: int) -> list[int]:
-    """The first `size` coefficients of the Hilbert numerator of S/J, with S
-    graded by `degrees` and J generated by the monomials `leads` (exponent
-    tuples, none dividing another)."""
-    out = [1] + [0] * (size - 1)
-    placed: list[tuple] = []
-    for m in leads:
-        _add_lead(out, placed, m, degrees)
-    return out
+def _standard(standard: list[dict], degrees: list[int], power: list[int], cap: int) -> dict:
+    """The standard monomials of degree n = len(standard), as {key: nonzero
+    indices} in the form of `_keyed`, from those of each lower degree, for a
+    monomial ideal generated below n; stops once there are more than `cap`.
 
-
-def _add_lead(numerator: list[int], leads: list, m: tuple, degrees: list[int]) -> None:
-    """Turn the truncated numerator of S/J into that of S/(J + m), in place,
-    by N(J + m) = N(J) - t^deg(m) * N(J : m), and append m to J's `leads`.
-
-    J : m is generated by the g / gcd(g, m); those of degree beyond the
-    truncation cannot reach it and are dropped, as are the non-minimal ones.
+    Each monomial e is made once, as s * g_i with i the largest index where e
+    is nonzero, and is standard exactly when every e / g_j is (see
+    "Leading-term count" in the module docstring).  Every set lists its
+    monomials by ascending largest index, so the scan of s stops at the first
+    one past i, and the output is made in that order.
     """
-    rest = len(numerator) - sum(a * d for a, d in zip(m, degrees))
-    if rest > 0:
-        colon = sorted(
-            (sum(a * d for a, d in zip(q, degrees)), q)
-            for q in (tuple(a - b if a > b else 0 for a, b in zip(g, m)) for g in leads)
-        )
-        minimal: list[tuple] = []
-        for deg, q in colon:
-            if deg >= rest:
+    n = len(standard)
+    out: dict[int, tuple] = {}
+    for i, d in enumerate(degrees):
+        if d > n:
+            continue
+        step = power[i]
+        for key, nonzero in standard[n - d].items():
+            if nonzero and nonzero[-1] > i:
                 break
-            if not any(_divides(h, q) for h in minimal):
-                minimal.append(q)
-        sub = _quotient_numerator(minimal, degrees, rest)
-        for k, c in enumerate(sub, len(numerator) - rest):
-            numerator[k] -= c
-    leads.append(m)
+            e = key + step
+            for j in nonzero:
+                if e - power[j] not in standard[n - degrees[j]]:
+                    break
+            else:
+                out[e] = nonzero if nonzero and nonzero[-1] == i else nonzero + (i,)
+                if len(out) > cap:
+                    return out
+    return out
 
 
 def find_relations(model: SectionRing) -> list[Relation]:
     """Minimal relations among the generators, degree by degree up to the bound.
 
     Degree n is skipped when the leading-term count shows that it gains no
-    relation: the standard monomials of degree n of the leading monomials
-    learned in lower degrees are as many as dim R_n (see the module
-    docstring).  Otherwise one span takes the consequences (lower-degree
-    relation) * (monomial), then each monomial with its evaluation column
-    ("One span per degree" in the module docstring).  A monomial whose
-    residual has a zero column block gives a new minimal relation, the
-    residual normalized to leading coefficient one.  Once the rows with a
-    pivot in the monomial block number the kernel dimension (monomials -
-    dim R_n) the degree is done; their pivots are the leading monomials of
-    degree n, and the new ones join the count.
+    relation: the standard monomials S_n of the leading monomials learned in
+    lower degrees, built by `_standard` from the sets below, are as many as
+    dim R_n (see the module docstring).  Otherwise one span takes the
+    consequences (lower-degree relation) * (monomial), then each monomial
+    with its evaluation column ("One span per degree" in the module
+    docstring).  A monomial whose residual has a zero column block gives a
+    new minimal relation, the residual normalized to leading coefficient
+    one.  Once the rows with a pivot in the monomial block number the kernel
+    dimension (monomials - dim R_n) the degree is done; their pivots are the
+    leading monomials of degree n, and the monomials off them are S_n.
     """
     degrees = [g.degree for g in model.generators]
-    size = model.bound + 1
+    # an exponent is at most the bound, so the keys of `_keyed` are distinct
+    power = [(model.bound + 1) ** j for j in range(len(degrees))]
     monomials: dict[int, list] = {}
 
     def monos_of(k: int) -> list:
@@ -639,13 +637,12 @@ def find_relations(model: SectionRing) -> list[Relation]:
     # (degree, terms of the stored row) per relation: a multiple of the relation,
     # and a multiple of a vector changes no stored row
     scaled_terms: list[tuple[int, list]] = []
-    leads: list[tuple] = []  # minimal generators of the learned leading monomials
-    numerator = [1] + [0] * (size - 1)
-    counts = _div_one_minus(numerator, degrees, size)
-    for n in range(1, size):
+    standard: list[dict] = [{0: ()}]  # S_m for m < n
+    for n in range(1, model.bound + 1):
         piece = model.piece(n)
         dim = piece.dim
-        if counts[n] == dim:
+        standard.append(_standard(standard, degrees, power, dim))
+        if len(standard[n]) == dim:
             continue
         monos = monos_of(n)
         full = len(monos) - dim  # the kernel dimension
@@ -675,14 +672,12 @@ def find_relations(model: SectionRing) -> list[Relation]:
                 relations.append(Relation(n, tuple((expo, c * inv) for expo, c in terms)))
                 scaled_terms.append((n, terms))
                 found += 1
-        new = [
-            monos[p - dim] for p in span.pivots[span.rank - found:]
-            if not any(_divides(g, monos[p - dim]) for g in leads)
-        ]
-        for m in new:
-            _add_lead(numerator, leads, m, degrees)
-        if new:
-            counts = _div_one_minus(numerator, degrees, size)
+        pivots = set(span.pivots)
+        # in the order `_standard` scans: by ascending largest index
+        standard[n] = dict(sorted(
+            (_keyed(e, power) for k, e in enumerate(monos) if dim + k not in pivots),
+            key=lambda item: item[1][-1],
+        ))
     return relations
 
 

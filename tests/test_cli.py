@@ -845,11 +845,18 @@ def test_thin_enumerate_finishes(tmp_path):
             24,
             [4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 8],
         ),
+        # c + 1 generators in degree 1 and all relations in degree 2: 4 to
+        # 9 s and 13 to 21 s while the count was a Hilbert numerator updated
+        # once per new leading monomial
+        ([{"point": "inf", "coeff": "40"}], 3, [2] * 780),
+        ([{"point": "inf", "coeff": "60"}], 2, [2] * 1770),
     ],
 )
 def test_relations_far_past_the_last_one_finish(tmp_path, divisor, bound, degrees):
-    """ring --emit relations at a bound far above the last relation, where
-    the leading-term count skips every degree after it."""
+    """ring --emit relations where the leading-term count must be cheap: at
+    a bound far above the last relation, where the count skips every degree
+    after it, and on c*[inf] with many generators, where it counts the
+    standard monomials of hundreds of leading monomials."""
     path = write_job(tmp_path, {"divisor": divisor})
     proc = subprocess.run(
         [sys.executable, "-m", "qsection", "ring", "--input", path,

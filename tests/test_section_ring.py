@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_span
@@ -826,6 +826,10 @@ class TestLeadingTermCount:
 
     @given(ring_cases())
     @settings(max_examples=200)
+    # c*[inf]: c + 1 generators in degree 1, so degree 2 is formed and the
+    # count of each higher degree runs over many generators
+    @example((d({P1_INFINITY: F(12)}), 3))
+    @example((d({P1_INFINITY: F(2)}), 6))
     def test_relations_match_the_reference(self, case):
         D, bound = case
         with warnings.catch_warnings():
