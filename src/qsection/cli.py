@@ -11,11 +11,9 @@ Subcommands:
   a profile emitted by ``primes check``.
 * ``ec verdict``: prime existence for a divisor on a Weierstrass curve.
 
-Exit codes: 0 success, 1 domain error, 2 success with warnings
-(a ``ring`` model's `SectionRing.truncation_warning`: a generator appeared
-at a truncation bound below B*), 3 malformed input.  Payloads are the
-library's result records, with curves, divisors, points and functions
-written out.
+Exit codes: 0 success, 1 domain error, 2 usage error (from argparse),
+3 malformed input.  Payloads are the library's result records, with curves,
+divisors, points and functions written out.
 All rationals travel as strings "p/q"; output is deterministic
 (sorted keys, two-space indent, trailing newline).
 """
@@ -189,8 +187,6 @@ def cmd_ring(args) -> dict:
             "degree": serialize_rational(model.divisor.degree()),
             "irredundant": model.irredundant,
         }
-        if model.truncation_warning is not None:
-            out["warnings"] = [model.truncation_warning]
         if "dims" in emit:
             out["dims"] = model.dims
         if "generators" in emit:
@@ -420,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default="-", help="job JSON file ('-' for stdin)")
         p.add_argument("--output", help="write the result here instead of stdout")
         if bound:
-            p.add_argument("--bound", type=int, help="truncation bound override")
+            p.add_argument("--bound", type=int, help="degree bound override (raised to B*)")
         if oracle:
             p.add_argument(
                 "--oracle-bound",
@@ -467,7 +463,7 @@ def main(argv=None) -> int:
     try:
         payload = args.handler(args)
         _emit_payload(payload, args.output)
-        return 2 if "warnings" in payload else 0
+        return 0
     except SchemaError as exc:
         _emit_error(exc, "schema")
         return 3

@@ -289,7 +289,8 @@ def primality_oracle(
     its dot product with lambda_(a+b) is zero.  Nonzero multiples of q_g
     and of the carries give the same answer, so they enter as integers
     (see `section_ring`).  The window is read from the generators, which
-    only a model at `generator_bound` certifies.
+    every extended model holds in full (its bound reaches `generator_bound`);
+    a model below that bound, one never extended, is refused.
     """
     d = cand.degree
     if model.bound < model.generator_bound:
@@ -335,15 +336,13 @@ def primality_oracle(
 def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int | None):
     """A model that holds the oracle window of each degree, and those windows.
 
-    The model is built at `bound` (or the default) and extended to
-    `generator_bound` if that is higher.  No generator lies above
-    B* = `generator_bound`, so the list is complete and `truncation_warning`
-    is None.  The window of degree d, max(2 * (top generator degree) + d,
-    oracle_bound), is read from it, and the model is extended once more to
-    the largest window.  Refusals are those of `build_section_ring`.
+    The model is built at `bound` (or the default), which `extend` raises
+    to B* = `generator_bound`, so its generator list is complete.  The
+    window of degree d, max(2 * (top generator degree) + d, oracle_bound),
+    is read from it, and the model is extended once more to the largest
+    window.  Refusals are those of `build_section_ring`.
     """
     model = SectionRing(D).extend(bound)
-    model.extend(max(model.bound, model.generator_bound))
     windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
     return model.extend(max(model.bound, *windows.values())), windows
 

@@ -96,14 +96,14 @@ The model converts to `RationalFunctionP1` only at its edges (generator
 functions, `SectionRing.monomial`, `Piece.basis`) and reads user functions
 in through `Piece.coords`.
 
-The model truncates at a degree bound: generators are discovered degree by
-degree as the echelon complement of products of earlier generators, and
-minimal relations are read off the kernels of the evaluation maps,
-quotienting out consequences of relations found in lower degrees.  The
-linear algebra is exact over the scalar field; a count of leading monomials
-decides which degrees need it at all (below).  A model can be extended to a
-higher bound in place; it then equals a model built at that bound from
-scratch.
+The model stops at a degree bound, never below the proven generator bound
+B* (below): generators are discovered degree by degree as the echelon
+complement of products of earlier generators, and minimal relations are
+read off the kernels of the evaluation maps, quotienting out consequences
+of relations found in lower degrees.  The linear algebra is exact over the
+scalar field; a count of leading monomials decides which degrees need it at
+all (below).  A model can be extended to a higher bound in place; it then
+equals a model built at that bound from scratch.
 
 Proven generator bound.  Let N be the common denominator of the
 coefficients, so that N*D is integral and floor((n+N)*D) = floor(n*D) + N*D.
@@ -118,8 +118,9 @@ generator, and every generator has degree at most
 The set is finite: floor(t) > t - 1, so deg floor(n*D) > n*deg D - k with k
 the number of support points, and R_n != 0 once n*deg D >= k; the scan stops
 there.  `SectionRing.generator_bound` is B*, computed once per model from
-the integer coefficient pairs.  In degrees above it `extend` records the
-piece and skips the span.  The default bound stays 3N.
+the integer coefficient pairs.  `extend` raises every requested bound
+(3N by default) to B*, so every model holds its complete generator list; in
+degrees above B* it records the piece and skips the span.
 
 Multiplication maps.  In degree n the span of products of earlier
 generators is sum_g g * R_{n - d_g} over the generators g found so far
@@ -153,8 +154,12 @@ monomials give equal dimensions, so I_n = K_n: degree n gains no relation
 and is skipped, with no monomials, consequences or columns.  When
 c_n > dim R_n the degree is formed as before, and its pivots join J.
 
-c_n is counted on one set S_m of standard monomials per degree m, with
-S_0 = {1}.  They form an order ideal: with J generated below n, a monomial
+Until the first formed degree m, J is empty and c_n is the number of
+degree-n monomials, the coefficient of t^n in 1/prod_j (1 - t^d_j); no set
+of standard monomials is built before m.  From there on c_n is counted on
+one set S_m of standard monomials per degree m, with S_0 = {1}, and at m the
+sets S_1 .. S_(m-1) are built first, each holding every monomial of its
+degree.  They form an order ideal: with J generated below n, a monomial
 e of degree n lies in J exactly when some e / g_j with e_j > 0 does, since
 a generator m of J that divides e has deg m < n, so m_j < e_j for some j,
 and m divides e / g_j.  Generators of J above degree n - d_j divide no
@@ -170,10 +175,10 @@ Hilbert series.  With denominator exponents e_j equal to the generator
 degrees, the numerator is the product of the dimension series with
 prod_j (1 - t^e_j).  It is a polynomial when the generators generate the
 ring, and a failed fit proves the list incomplete, but a fit proves nothing:
-at bound 2 the half-integer model misses its degree-3 generator and still
-fits 1 + t^3 over (2, 2), as (1 - t^6) / (1 - t^3) = 1 + t^3.  Only B*
-certifies the list.  The fit is decided on a proven window.  For
-n >= n0 = ceil(k / deg D) (the scan end above), deg floor(n*D) >
+the half-integer generators without the one of degree 3 still fit 1 + t^3
+over (2, 2), as (1 - t^6) / (1 - t^3) = 1 + t^3.  Only B* certifies the
+list, and every model reaches it.  The fit is decided on a proven window.
+For n >= n0 = ceil(k / deg D) (the scan end above), deg floor(n*D) >
 n*deg D - k >= 0, so dim R_n = n*deg D + 1 - phi(n) with
 phi(n) = sum_x {n*c_x} periodic mod N.  Write
 prod_j (1 - t^e_j) = sum_i a_i t^i, of degree E = sum_j e_j.  For
@@ -188,7 +193,6 @@ FitFailedError otherwise.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -196,7 +200,6 @@ from operator import add
 
 from .divisors import InfinityP1, ProjectiveLine, QDivisor
 from .errors import (
-    BoundTooSmallWarning,
     FitFailedError,
     MembershipError,
     NotAmpleError,
@@ -398,11 +401,12 @@ def exponent_vectors(degrees: list[int], total: int):
 
 
 class SectionRing:
-    """Truncated model of the section ring of an ample divisor.
+    """Model of the section ring of an ample divisor up to a degree bound.
 
     Starts at bound 0 with no generators; `extend` discovers generators up
-    to a bound.  `build_section_ring` is the usual way to make one.  Raises
-    NotAmpleError unless deg D > 0, then ValueError off the projective line.
+    to a bound of at least B*, so an extended model holds every generator.
+    `build_section_ring` is the usual way to make one.  Raises NotAmpleError
+    unless deg D > 0, then ValueError off the projective line.
     """
 
     def __init__(self, divisor: QDivisor):
@@ -415,7 +419,6 @@ class SectionRing:
         self.pieces = [Piece(divisor, 0)]
         self.generators: list[Generator] = []
         self.irredundant = False
-        self.generators_at_bound = False
         # (numerator, denominator, (integer factor, B)) of each finite point
         self._points = [
             (c.numerator, c.denominator, _linear_factor(pt.coord))
@@ -504,20 +507,22 @@ class SectionRing:
     def extend(self, bound: int | None = None) -> "SectionRing":
         """Discover generators up to a higher bound, keeping all earlier work.
 
-        The bound defaults to `default_bound`; below 1 it raises ValueError,
-        as it does below the current bound.
+        The bound defaults to `default_bound` and must be at least 1.  It is
+        then raised to `generator_bound`, so the model holds every
+        generator, and may not fall below the current bound; either refusal
+        is a ValueError.
 
         In each degree up to `generator_bound` the span of products of
         already-known generators, sum_g g * R_{n - d_g}, is echelonized
         inside the piece; basis elements at the non-pivot columns (left to
         right) become new generators.  Higher degrees hold no generator and
-        get their piece only.  Nothing warns: `truncation_warning` says
-        whether the generator list may be incomplete.
+        get their piece only.
         """
         if bound is None:
             bound = default_bound(self.divisor)
         if bound < 1:
             raise ValueError("bound must be at least 1")
+        bound = max(bound, self.generator_bound)
         if bound < self.bound:
             raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
         top = self.generator_bound
@@ -542,32 +547,13 @@ class SectionRing:
         self.bound = bound
         support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
         self.irredundant = math.gcd(*support) == 1 if support else False
-        self.generators_at_bound = any(g.degree == bound for g in self.generators)
         return self
-
-    @property
-    def truncation_warning(self) -> str | None:
-        """The message when a generator shows up exactly at a bound below
-        `generator_bound`, since then nothing certifies that higher degrees
-        hold no further generators; None otherwise."""
-        if self.generators_at_bound and self.bound < self.generator_bound:
-            return (
-                f"generators found at the bound {self.bound}; "
-                "raise the bound to certify completeness"
-            )
-        return None
 
 
 def build_section_ring(D: QDivisor, bound: int | None = None) -> SectionRing:
-    """Discover generators of the section ring of D up to a degree bound.
-
-    See `SectionRing.extend` for the discovery.  Warns BoundTooSmallWarning
-    with the model's `truncation_warning`, if it has one.
-    """
-    model = SectionRing(D).extend(bound)
-    if model.truncation_warning is not None:
-        warnings.warn(model.truncation_warning, BoundTooSmallWarning, stacklevel=2)
-    return model
+    """Discover the generators of the section ring of D, up to the degree
+    bound raised to B* (see `SectionRing.extend`)."""
+    return SectionRing(D).extend(bound)
 
 
 def _keyed(e: tuple, power: list[int]) -> tuple[int, tuple]:
@@ -613,14 +599,17 @@ def find_relations(model: SectionRing) -> list[Relation]:
     Degree n is skipped when the leading-term count shows that it gains no
     relation: the standard monomials S_n of the leading monomials learned in
     lower degrees, built by `_standard` from the sets below, are as many as
-    dim R_n (see the module docstring).  Otherwise one span takes the
-    consequences (lower-degree relation) * (monomial), then each monomial
-    with its evaluation column ("One span per degree" in the module
-    docstring).  A monomial whose residual has a zero column block gives a
-    new minimal relation, the residual normalized to leading coefficient
-    one.  Once the rows with a pivot in the monomial block number the kernel
-    dimension (monomials - dim R_n) the degree is done; their pivots are the
-    leading monomials of degree n, and the monomials off them are S_n.
+    dim R_n (see the module docstring).  Before the first formed degree no
+    monomial is a leading one, so the count is that of all degree-n
+    monomials, read off their series, and no S_n is built.  Otherwise one
+    span takes the consequences (lower-degree relation) * (monomial), then
+    each monomial with its evaluation column ("One span per degree" in the
+    module docstring).  A monomial whose residual has a zero column block
+    gives a new minimal relation, the residual normalized to leading
+    coefficient one.  Once the rows with a pivot in the monomial block
+    number the kernel dimension (monomials - dim R_n) the degree is done;
+    their pivots are the leading monomials of degree n, and the monomials
+    off them are S_n.
     """
     degrees = [g.degree for g in model.generators]
     # an exponent is at most the bound, so the keys of `_keyed` are distinct
@@ -637,13 +626,24 @@ def find_relations(model: SectionRing) -> list[Relation]:
     # (degree, terms of the stored row) per relation: a multiple of the relation,
     # and a multiple of a vector changes no stored row
     scaled_terms: list[tuple[int, list]] = []
-    standard: list[dict] = [{0: ()}]  # S_m for m < n
+    # the number of degree-n monomials: c_n while J is empty
+    monomial_counts = _div_one_minus([1], degrees, model.bound + 1)
+    standard: list[dict] = [{0: ()}]  # S_m for m < n, once a degree is formed
     for n in range(1, model.bound + 1):
         piece = model.piece(n)
         dim = piece.dim
-        standard.append(_standard(standard, degrees, power, dim))
-        if len(standard[n]) == dim:
+        if relations:
+            standard.append(_standard(standard, degrees, power, dim))
+            if len(standard[n]) == dim:
+                continue
+        elif monomial_counts[n] == dim:
             continue
+        else:
+            # the first formed degree, which finds a relation: below it S_m
+            # holds every monomial of degree m
+            for m in range(1, n):
+                standard.append(_standard(standard, degrees, power, monomial_counts[m]))
+            standard.append({})  # S_n, set from the pivots below
         monos = monos_of(n)
         full = len(monos) - dim  # the kernel dimension
         index = {e: i for i, e in enumerate(monos)}

@@ -129,18 +129,43 @@ class TestRingDivisorMode:
         assert code == 3
         assert err["error"]["type"] == "SchemaError"
 
-    def test_small_bound_warns_with_exit_2(self, tmp_path, capsys):
+    def test_bound_below_b_star_is_raised_to_it(self, tmp_path, capsys):
+        """--bound 2 on the half-integer job (B* = 3) builds the model at 3,
+        and the output is that of --bound 3, byte for byte."""
         path = write_job(tmp_path, HALF_INTEGER_JOB)
-        code, out, err = run_cli(
-            ["ring", "--input", path, "--bound", "2", "--emit", "dims,generators"],
-            capsys,
-        )
-        assert code == 2 and err is None
-        assert out["bound"] == 2
-        assert out["warnings"] and "bound" in out["warnings"][0]
-        D = parse_divisor(HALF_INTEGER_JOB["divisor"], parse_curve(HALF_INTEGER_JOB["curve"]))
-        model = SectionRing(D).extend(2)
-        assert out["warnings"] == [model.truncation_warning]
+        outputs = []
+        for bound in ("2", "3"):
+            assert main(["ring", "--input", path, "--bound", bound]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        out = json.loads(outputs[0])
+        assert out["bound"] == 3 and "warnings" not in out
+        assert out["generator_degrees"] == [2, 2, 3]
+
+    @pytest.mark.parametrize("bound", ["2", "4"])
+    def test_bound_below_b_star_keeps_the_series(self, tmp_path, capsys, bound):
+        """6/5 [-1] has B* = 5 and a generator in degree 5; below 5 its
+        Hilbert fit would fail, and at 5 the default sections all fit."""
+        path = write_job(tmp_path, {"divisor": SIX_FIFTHS_JOB["divisor"]})
+        code, out, err = run_cli(["ring", "--input", path, "--bound", bound], capsys)
+        assert code == 0 and err is None
+        assert out["bound"] == 5
+        assert out["generator_degrees"] == [1, 1, 5]
+        assert out["a_invariant"] == -1 and out["tomari"] == "6/5"
+
+    def test_default_bound_below_b_star_is_raised_to_it(self, tmp_path, capsys):
+        """1/7 ([0] + [1] + [2] + [3]) - 3/7 [inf] has 3N = 21 and B* = 27."""
+        job = {
+            "divisor": [{"point": str(x), "coeff": "1/7"} for x in range(4)]
+            + [{"point": "inf", "coeff": "-3/7"}]
+        }
+        path = write_job(tmp_path, job)
+        code, out, err = run_cli(["ring", "--input", path, "--emit", "dims"], capsys)
+        assert code == 0 and err is None
+        D = parse_divisor(job["divisor"], parse_curve(None))
+        assert SectionRing(D).generator_bound == out["bound"] == 27
 
     def test_generators_at_the_proven_bound_do_not_warn(self, tmp_path, capsys):
         """Bound 3 is B* of the job: a generator sits there, but none lies

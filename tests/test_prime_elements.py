@@ -1,7 +1,6 @@
 """Prime-element machinery: profiles, necessary conditions, oracle, search."""
 
 import functools
-import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +13,6 @@ from qsection import prime_elements
 from qsection.elliptic import WeierstrassCurve
 from qsection.errors import (
     BoundTooSmallError,
-    BoundTooSmallWarning,
     HypothesisViolatedError,
     MembershipError,
     NotAmpleError,
@@ -150,10 +148,12 @@ class TestPrimalityOracle:
             primality_oracle(model_half, X_MINUS_2Y, bound=5)
 
     def test_model_below_the_generator_bound_is_refused(self):
-        # B* = 5, and the degree-5 generator is missing at bound 3
-        model = build_section_ring(d({FiniteP1(-1): F(6, 5)}), 3)
-        with pytest.raises(BoundTooSmallError):
+        # B* = 5: a model never extended (bound 0) holds no generator, and
+        # any extended one reaches 5
+        model = SectionRing(d({FiniteP1(-1): F(6, 5)}))
+        with pytest.raises(BoundTooSmallError, match="below B"):
             primality_oracle(model, PrimeCandidate(rf((1,), (1, 1)), 1))
+        assert build_section_ring(model.divisor, 3).bound == 5
 
     def test_bound_exceeding_model_rejected(self, model_half):
         with pytest.raises(BoundTooSmallError):
@@ -252,9 +252,7 @@ def oracle_cases(draw):
         if over_nf:
             coeffs = [c + draw(st.integers(-1, 1)) * SQRT2 for c in coeffs]
         assume(any(coeffs))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmallWarning)
-        model, _ = _model_for_oracle(D, [degree], None, None)
+    model, _ = _model_for_oracle(D, [degree], None, None)
     return model, PrimeCandidate(piece.function(Poly(coeffs)), degree)
 
 
@@ -286,23 +284,24 @@ def oracle_model_cases(draw):
 
 class TestModelForOracle:
     def test_builds_once_and_extends_to_the_window(self, monkeypatch):
-        models = []
+        models, bounds = [], []
 
         class CountingRing(SectionRing):
             def __init__(self, D):
                 super().__init__(D)
                 models.append(self)
 
+            def extend(self, bound=None):
+                bounds.append(bound)
+                return super().extend(bound)
+
         monkeypatch.setattr(prime_elements, "SectionRing", CountingRing)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BoundTooSmallWarning)
-            model, windows = _model_for_oracle(D_HALF, [2], 3, None)
+        model, windows = _model_for_oracle(D_HALF, [2], 3, None)
         assert models == [model]
+        # one extend to the requested bound, one to the window
+        assert bounds == [3, 8]
         # window 2 * 3 + 2: generators of degree 3 sit at B* = 3
         assert model.bound == 8 and windows == {2: 8}
-        # every generator lies below the final bound, so nothing warns
-        assert not caught
-        assert model.truncation_warning is None
         fresh = build_section_ring(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators
@@ -321,14 +320,10 @@ class TestModelForOracle:
     @settings(max_examples=100)
     def test_every_bound_gives_the_model_at_the_generator_bound(self, case):
         """From any bound, the generators and windows are those of the model
-        built at B*, which holds every generator, and nothing warns."""
+        built at B*, which holds every generator."""
         D, bound, degree = case
         fresh = build_section_ring(D, SectionRing(D).generator_bound)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BoundTooSmallWarning)
-            model, windows = _model_for_oracle(D, [degree], bound, None)
-        assert not caught
-        assert model.truncation_warning is None
+        model, windows = _model_for_oracle(D, [degree], bound, None)
         assert model.generators == fresh.generators
         window = 2 * max(fresh.generator_degrees) + degree
         assert windows == {degree: window}
@@ -537,9 +532,7 @@ class TestConstructedPrimes:
         D, N, point = drawn
         cand = construct_prime(D, N, point)
         assert cand.divisor == divisor_of(cand.g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            model, windows = _model_for_oracle(D, [N], None, None)
+        model, windows = _model_for_oracle(D, [N], None, None)
         assume(primality_oracle(model, cand, windows[N]).is_prime)
         assert quotient_profile(model, cand).s == 1
 

@@ -22,9 +22,9 @@ import dense_span
 from dense_span import dense
 from field_kernel import kernel_basis
 from long_division import reference_divrem
+from qsection import section_ring
 from qsection.divisors import FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection.errors import (
-    BoundTooSmallWarning,
     FitFailedError,
     MembershipError,
     NotAmpleError,
@@ -236,22 +236,20 @@ class TestModelGuards:
         assert default_bound(D_SCROLL) == 21
         assert SectionRing(D_HALF).extend().bound == 6
 
-    def test_generator_at_bound_warns(self):
-        with pytest.warns(BoundTooSmallWarning):
-            build_section_ring(D_HALF, 2)
-
     def test_generator_at_the_proven_bound_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", BoundTooSmallWarning)
-            model = build_section_ring(D_HALF, 3)
-            # extend itself never warns; the model says whether it is truncated
-            truncated = SectionRing(D_HALF).extend(2)
-        assert model.generators_at_bound and model.bound == model.generator_bound
-        assert model.truncation_warning is None
-        assert "bound 2;" in truncated.truncation_warning
-        with pytest.warns(BoundTooSmallWarning) as caught:
-            build_section_ring(D_HALF, 2)
-        assert [str(w.message) for w in caught] == [truncated.truncation_warning]
+        """B* = 3 holds the third generator, so bound 2 becomes 3, with no
+        warning; a bound raised to the current one is no shrink, a smaller
+        one still is."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = build_section_ring(D_HALF, 2)
+        assert not caught
+        assert model.bound == model.generator_bound == 3
+        assert model.generator_degrees == [2, 2, 3]
+        assert model.extend(1).bound == 3
+        model.extend(6)
+        with pytest.raises(ValueError, match="cannot shrink"):
+            model.extend(4)
 
     def test_piece_outside_bound(self):
         model = build_section_ring(D_HALF)
@@ -266,7 +264,8 @@ class TestModelGuards:
 
 
 class TestModelExtension:
-    @pytest.mark.parametrize("D, start, target", [(D_HALF, 6, 8), (D_42, 42, 84)])
+    # both bounds at or above B* (3 and 85), so neither is raised
+    @pytest.mark.parametrize("D, start, target", [(D_HALF, 6, 8), (D_42, 85, 126)])
     def test_extended_model_equals_fresh_build(self, D, start, target):
         extended = build_section_ring(D, start)
         # relations and series of the smaller model, read before extending
@@ -280,7 +279,6 @@ class TestModelExtension:
         assert find_relations(extended) == find_relations(fresh)
         assert hilbert_series(extended) == hilbert_series(fresh)
         assert extended.irredundant == fresh.irredundant
-        assert extended.generators_at_bound == fresh.generators_at_bound
 
 
 def carry_poly(D, a, b):
@@ -610,10 +608,8 @@ class TestNumberFieldCrossCheck:
     @settings(max_examples=200)
     def test_same_model_over_q_and_q_sqrt2(self, D):
         D_nf = QDivisor(ProjectiveLine(Q_SQRT2), D.entries)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            model = build_section_ring(D, 12)
-            model_nf = build_section_ring(D_nf, 12)
+        model = build_section_ring(D, 12)
+        model_nf = build_section_ring(D_nf, 12)
         assert model.dims == model_nf.dims
         assert [(g.degree, g.column) for g in model.generators] == [
             (g.degree, g.column) for g in model_nf.generators
@@ -687,9 +683,7 @@ class TestProductFormula:
         factors."""
         D, bound = case
         top = min(bound, 8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            model = build_section_ring(D, top)
+        model = build_section_ring(D, top)
         monos = [
             e
             for n in range(2, top + 1)
@@ -720,20 +714,14 @@ class TestReferenceCrossChecks:
     @settings(max_examples=200)
     def test_multiplication_maps_match_full_enumeration(self, case):
         D, bound = case
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BoundTooSmallWarning)
-            model = build_section_ring(D, bound)
+        model = build_section_ring(D, bound)
+        bound = model.bound  # raised to B* over Q(sqrt 2)
         ref = reference_extend(D, bound)
         assert [(g.degree, g.column) for g in model.generators] == [
             (g.degree, g.column) for g in ref.generators
         ]
         assert model.dims == ref.dims
-        at_bound = bound in ref.generator_degrees
-        assert model.generators_at_bound == at_bound
-        # B* certifies completeness, so only a bound below it warns
-        assert len(caught) == (at_bound and bound < model.generator_bound)
-        if D.curve.field is None:  # the bound is B* + 2N
-            assert max(ref.generator_degrees) <= model.generator_bound
+        assert max(ref.generator_degrees) <= model.generator_bound
         # the kernel dimension that find_relations counts on, in every degree
         for n in range(1, bound + 1):
             monos = exponent_vectors(ref.generator_degrees, n)
@@ -743,6 +731,22 @@ class TestReferenceCrossChecks:
                 shift, coeffs, _ = ref.monomial_coords(e)
                 columns.append(dense(piece.vector(coeffs, shift), piece.dim))
             assert len(kernel_basis(columns, piece.dim)) == len(monos) - piece.dim
+
+    @given(ring_cases(), st.data())
+    @settings(max_examples=100)
+    def test_every_bound_is_raised_to_the_generator_bound(self, case, data):
+        """extend(b) has bound max(b, B*), and max(3N, B*) with no bound,
+        and equals full enumeration at that bound."""
+        D, _ = case
+        top = SectionRing(D).generator_bound
+        bound = data.draw(st.none() | st.integers(1, top + 1), label="bound")
+        model = SectionRing(D).extend(bound)
+        assert model.bound == max(default_bound(D) if bound is None else bound, top)
+        ref = reference_extend(D, model.bound)
+        assert [(g.degree, g.column) for g in model.generators] == [
+            (g.degree, g.column) for g in ref.generators
+        ]
+        assert model.dims == ref.dims
 
 
 def reference_find_relations(model):
@@ -832,9 +836,8 @@ class TestLeadingTermCount:
     @example((d({P1_INFINITY: F(2)}), 6))
     def test_relations_match_the_reference(self, case):
         D, bound = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            model = build_section_ring(D, bound)
+        model = build_section_ring(D, bound)
+        bound = model.bound  # raised to B* over Q(sqrt 2)
         totals = []
 
         def recording(degrees, total):
@@ -868,15 +871,32 @@ class TestLeadingTermCount:
             ]
 
 
+    def test_standard_monomials_wait_for_the_first_relation(self):
+        """[inf] at bound 60 (two generators in degree 1) has no relation,
+        so every count is that of all monomials and no S_n is built.  The
+        half-integer model first forms degree 6; only then are S_1 .. S_5
+        built, and S_n for each later degree."""
+        built = []
+        standard_sets = section_ring._standard
+
+        def recording(standard, *args):
+            built.append(len(standard))
+            return standard_sets(standard, *args)
+
+        with mock.patch.object(section_ring, "_standard", recording):
+            assert find_relations(build_section_ring(d({P1_INFINITY: 1}), 60)) == []
+            assert built == []
+            relations = find_relations(build_section_ring(D_HALF, 12))
+        assert [r.degree for r in relations] == [6]
+        assert built == [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12]
+
     @given(ring_cases(over_nf=True))
     @settings(max_examples=100, deadline=None)
     def test_relation_coefficients_stay_exact(self, case):
         """Every coefficient of a relation over Q(sqrt 2) is an int, a
         Fraction or a number-field element, never a float."""
         D, bound = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundTooSmallWarning)
-            model = build_section_ring(D, bound)
+        model = build_section_ring(D, bound)
         for rel in find_relations(model):
             assert all(type(c) in (int, F, NumberFieldElem) for _, c in rel.terms), rel
 
@@ -978,24 +998,15 @@ class TestHilbertSeries:
             hilbert_series(model)
 
     def test_equivalent_presentation_still_fits(self):
-        # dropping the degree-3 generator of the half-integer model leaves
-        # weights {2, 2}, and the same series happens to equal
-        # (1 + t^3)/(1-t^2)^2, so the fit legitimately succeeds
+        """A fit does not certify a generator list: without its degree-3
+        generator (B* = 3) the half-integer model has weights {2, 2}, and
+        its series still fits as (1 + t^3)/(1 - t^2)^2, since
+        (1 - t^6) / (1 - t^3) = 1 + t^3."""
         model = build_section_ring(D_HALF)
         model.generators = model.generators[:2]
         hs = hilbert_series(model)
         assert hs.numerator == (1, 0, 0, 1)
         assert hs.denominator_exponents == (2, 2)
-
-    def test_a_fit_does_not_certify_completeness(self):
-        """At bound 2 the half-integer model misses its degree-3 generator
-        (B* = 3), and the series still fits over the weights {2, 2}, as
-        (1 - t^6) / (1 - t^3) = 1 + t^3."""
-        model = SectionRing(D_HALF).extend(2)
-        assert model.generator_degrees == [2, 2]
-        assert model.generator_bound == 3
-        assert model.truncation_warning is not None
-        assert hilbert_series(model) == HilbertSeries((1, 0, 0, 1), (2, 2))
 
 
 class TestTomari:

@@ -9,6 +9,9 @@ the package.
 Nor does the package read the process environment: a job's output depends
 on its job file and argv alone, so no module may name `os.environ`,
 `os.environb`, `os.getenv` or `os.putenv`.
+
+Nor does it warn: every model reaches its proven generator bound, so what
+it returns is a value or an error, and no module calls `warnings.warn`.
 """
 
 import ast
@@ -78,3 +81,47 @@ def test_package_reads_no_environment():
     assert SOURCES
     found = {path.name: environment_reads(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert not any(found.values()), {name: reads for name, reads in found.items() if reads}
+
+
+def warning_calls(source: str) -> list[str]:
+    """The calls of `warnings.warn` or `warnings.warn_explicit` in source,
+    as an attribute of `warnings` or a name imported from it, in the order
+    `ast.walk` visits them."""
+    nodes = list(ast.walk(ast.parse(source)))
+    imported = {
+        alias.asname or alias.name
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "warnings"
+        for alias in node.names
+        if alias.name.startswith("warn")
+    }
+    found = []
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "warnings"
+            and func.attr.startswith("warn")
+        ):
+            found.append(f"warnings.{func.attr}")
+        elif isinstance(func, ast.Name) and func.id in imported:
+            found.append(func.id)
+    return found
+
+
+def test_the_warning_check_sees_warn_calls_only():
+    source = (
+        "import warnings\nfrom warnings import warn as w\nwarnings.warn('a')\n"
+        "warnings.simplefilter('ignore')\nw('b')\nlog.warn('c')\n"
+        "warnings.warn_explicit('d', UserWarning, 'f', 1)\n"
+    )
+    assert warning_calls(source) == ["warnings.warn", "w", "warnings.warn_explicit"]
+
+
+def test_package_calls_no_warnings_warn():
+    assert SOURCES
+    found = {path.name: warning_calls(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert not any(found.values()), {name: calls for name, calls in found.items() if calls}
