@@ -42,7 +42,6 @@ from .errors import (
     MixedCurveError,
     NegativeDimError,
     NotAmpleError,
-    NotIrredundantError,
     NotLinearlyEquivalentError,
     NotSemigroupLikeError,
     PoleOrderMismatchError,

@@ -280,8 +280,8 @@ def cmd_primes(args) -> dict:
             raise SchemaError("missing required key 'point'")
         point = parse_point(job["point"], curve)
         cand = construct_prime(D, degree, point)
-    model, windows = _model_for_oracle(D, (degree,), bound, oracle_bound)
-    oracle = primality_oracle(model, cand, windows[degree])
+    model = _model_for_oracle(D, bound)
+    oracle = primality_oracle(model, cand, oracle_bound)
     out["oracle_bound"] = oracle.bound
 
     if args.action == "check":

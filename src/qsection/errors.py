@@ -29,10 +29,6 @@ class NegativeDimError(QSectionError):
     """A quotient dimension came out negative; the input data is inconsistent."""
 
 
-class NotIrredundantError(QSectionError):
-    """The grading is supported on a proper subgroup of the integers."""
-
-
 class ZeroCandidateError(QSectionError):
     """A prime candidate is the zero function."""
 

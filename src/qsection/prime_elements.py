@@ -78,7 +78,6 @@ from .errors import (
     MembershipError,
     NegativeDimError,
     NotAmpleError,
-    NotIrredundantError,
     NotLinearlyEquivalentError,
     QSectionError,
     ZeroCandidateError,
@@ -188,11 +187,6 @@ def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
     return read[1]
 
 
-def _oracle_window(model: SectionRing, d: int) -> int:
-    """The stabilized oracle window for a candidate of degree d."""
-    return 2 * max(model.generator_degrees) + d
-
-
 def _quotient_dims(dims: list[int], d: int, upto: int) -> list[int]:
     """dim R_n - dim R_{n-d} for n = 0..upto, the quotient dimensions of a
     nonzerodivisor of degree d; a negative one raises NegativeDimError."""
@@ -288,23 +282,21 @@ def primality_oracle(
     w^(j_a+j_b) * carry(a, b), and it vanishes in the quotient exactly when
     its dot product with lambda_(a+b) is zero.  Nonzero multiples of q_g
     and of the carries give the same answer, so they enter as integers
-    (see `section_ring`).  The window is read from the generators, which
-    every extended model holds in full (its bound reaches `generator_bound`);
-    a model below that bound, one never extended, is refused.
+    (see `section_ring`).
+
+    The oracle owns its window.  It first extends the model to
+    `generator_bound` (a no-op on any extended model), so that G, the top
+    generator degree, is final; the window is eff = max(2 * G + d, bound).
+    It then extends the model to eff, as a fresh build at that bound would
+    be, and reports eff as the result's bound.  A degree d below 1 is
+    refused with ValueError before any extension.
     """
     d = cand.degree
-    if model.bound < model.generator_bound:
-        raise BoundTooSmallError(f"model bound {model.bound} is below B* = {model.generator_bound}")
-    needed = _oracle_window(model, d)
-    eff = needed if bound is None else bound
-    if eff < needed:
-        raise BoundTooSmallError(
-            f"oracle bound {eff} is below the stabilized window {needed}"
-        )
-    if eff > model.bound:
-        raise BoundTooSmallError(
-            f"oracle bound {eff} exceeds the model bound {model.bound}; rebuild larger"
-        )
+    if d < 1:
+        raise ValueError("candidate degree is outside the model bound")
+    model.extend(model.generator_bound)
+    eff = max(2 * max(model.generator_degrees) + d, bound or 0)
+    model.extend(eff)
     q_g = _candidate_coords(model, cand)
     qdims = _quotient_dims(model.dims, d, eff)
     for n in range(1, eff + 1):
@@ -333,18 +325,10 @@ def primality_oracle(
     return OracleResult(True, "ok", None, eff)
 
 
-def _model_for_oracle(D: QDivisor, degrees, bound: int | None, oracle_bound: int | None):
-    """A model that holds the oracle window of each degree, and those windows.
-
-    The model is built at `bound` (or the default), which `extend` raises
-    to B* = `generator_bound`, so its generator list is complete.  The
-    window of degree d, max(2 * (top generator degree) + d, oracle_bound),
-    is read from it, and the model is extended once more to the largest
-    window.  Refusals are those of `build_section_ring`.
-    """
-    model = SectionRing(D).extend(bound)
-    windows = {d: max(_oracle_window(model, d), oracle_bound or 0) for d in degrees}
-    return model.extend(max(model.bound, *windows.values())), windows
+def _model_for_oracle(D: QDivisor, bound: int | None) -> SectionRing:
+    """The model of a `primes` job at `bound`, raised to B*; the oracle
+    extends it to its window."""
+    return SectionRing(D).extend(bound)
 
 
 def _constructed(sdD: QDivisor, d: int, s: int, point: CurvePoint) -> PrimeCandidate:
@@ -402,9 +386,7 @@ def enumerate_primes(
     if D.degree() != Fraction(1, N):
         return []
     degrees = [d for d in range(1, N + 1) if N % d == 0 and math.gcd(d, N // d) == 1]
-    model, windows = _model_for_oracle(D, degrees, bound, oracle_bound)
-    if not model.irredundant:
-        raise NotIrredundantError("the grading is supported on a proper subgroup")
+    model = _model_for_oracle(D, bound)
     ND = D.scale(N)
     verdicts: list[PrimeVerdict] = []
     for d in degrees:
@@ -414,7 +396,7 @@ def enumerate_primes(
             samples = []
             for pt in _family_sample_points(D, excluded):
                 cand = _constructed(ND, d, 1, pt)
-                result = primality_oracle(model, cand, windows[d])
+                result = primality_oracle(model, cand, oracle_bound)
                 if not result.is_prime:
                     raise QSectionError(
                         f"family sample at {pt!r} failed the oracle: {result.witness}"
@@ -427,7 +409,7 @@ def enumerate_primes(
                     kind="family",
                     excluded=tuple(sorted(excluded, key=point_sort_key)),
                     samples=tuple(samples),
-                    oracle_bound=windows[d],
+                    oracle_bound=result.bound,
                 )
             )
             continue
@@ -441,7 +423,7 @@ def enumerate_primes(
             if pt in frac_sD:
                 continue
             cand = _constructed(ND, d, s, pt)
-            result = primality_oracle(model, cand, windows[d])
+            result = primality_oracle(model, cand, oracle_bound)
             if not result.is_prime:
                 continue
             verdicts.append(
@@ -452,7 +434,7 @@ def enumerate_primes(
                     point=pt,
                     generator=cand.g,
                     generator_divisor=cand.divisor,
-                    oracle_bound=windows[d],
+                    oracle_bound=result.bound,
                 )
             )
     return verdicts

@@ -507,25 +507,30 @@ class SectionRing:
     def extend(self, bound: int | None = None) -> "SectionRing":
         """Discover generators up to a higher bound, keeping all earlier work.
 
-        The bound defaults to `default_bound` and must be at least 1.  It is
-        then raised to `generator_bound`, so the model holds every
-        generator, and may not fall below the current bound; either refusal
-        is a ValueError.
+        The bound defaults to `default_bound` and must be at least 1 (else
+        ValueError).  It is then raised to `generator_bound`, so the model
+        holds every generator; a bound at or below the current one leaves
+        the model as it is.
 
         In each degree up to `generator_bound` the span of products of
         already-known generators, sum_g g * R_{n - d_g}, is echelonized
         inside the piece; basis elements at the non-pivot columns (left to
         right) become new generators.  Higher degrees hold no generator and
         get their piece only.
+
+        An extended model is irredundant: its support {1 <= n <= bound :
+        R_n != 0} has gcd one.  If no R_n with n >= 1 is zero, degree 1 is
+        in the support.  Otherwise let G0 be the largest degree with
+        R_G0 = 0; then N >= 2 (for N = 1, deg floor(n*D) = n*deg D > 0), and
+        every degree in (G0, G0 + N] is in the support, as the bound is at
+        least B* = N + G0; it holds G0 + 1 and G0 + 2.
         """
         if bound is None:
             bound = default_bound(self.divisor)
         if bound < 1:
             raise ValueError("bound must be at least 1")
-        bound = max(bound, self.generator_bound)
-        if bound < self.bound:
-            raise ValueError(f"cannot shrink the model bound {self.bound} to {bound}")
         top = self.generator_bound
+        bound = max(bound, top, self.bound)
         for n in range(self.bound + 1, bound + 1):
             piece = Piece(self.divisor, n)
             self.pieces.append(piece)
@@ -545,8 +550,7 @@ class SectionRing:
                 if j not in pivots:
                     self.generators.append(Generator(n, j, piece))
         self.bound = bound
-        support = [n for n in range(1, bound + 1) if self.pieces[n].dim > 0]
-        self.irredundant = math.gcd(*support) == 1 if support else False
+        self.irredundant = True
         return self
 
 

@@ -12,7 +12,6 @@ from qsection.divisors import ECAffine, FiniteP1, P1_INFINITY, ProjectiveLine, Q
 from qsection import prime_elements
 from qsection.elliptic import WeierstrassCurve
 from qsection.errors import (
-    BoundTooSmallError,
     HypothesisViolatedError,
     MembershipError,
     NotAmpleError,
@@ -60,7 +59,9 @@ X_GEN = PrimeCandidate(rf((-1, 1)), 2)                   # w-1
 
 @pytest.fixture(scope="module")
 def model_half():
-    return _model_for_oracle(D_HALF, [2], None, None)[0]
+    """The half-integer model at bound 8, the oracle window of degree 2
+    (2 * 3 + 2), so no oracle call of a degree-2 candidate grows it."""
+    return build_section_ring(D_HALF, 8)
 
 
 class TestQuotientProfile:
@@ -109,12 +110,14 @@ class TestNecessaryCheck:
 
     def test_all_42_candidates_pass_gcd_and_degree(self):
         verdicts = enumerate_primes(D_42)
-        model, _ = _model_for_oracle(D_42, [42], None, None)
+        model = _model_for_oracle(D_42, None)
         for v in verdicts:
             if v.kind == "unique":
                 cand = PrimeCandidate(v.generator, v.degree)
             else:
                 cand = PrimeCandidate(v.samples[0][1], v.degree)
+            # the oracle grows the model to the window first, as `primes check` does
+            assert primality_oracle(model, cand).bound == v.oracle_bound
             rep = necessary_check(model, cand)
             assert rep.gcd_ok
             assert rep.degree_identity_ok
@@ -137,27 +140,46 @@ class TestPrimalityOracle:
     def test_dimension_witness(self):
         # t^2 in the polynomial ring k[s,t]: quotient has 2-dim pieces
         D = d({FiniteP1(0): 1})
-        model, _ = _model_for_oracle(D, [2], None, None)
+        model = build_section_ring(D)
         cand = PrimeCandidate(rf((1,), (0, 0, 1)), 2)    # (1/w)^2 T^2
         res = primality_oracle(model, cand)
         assert not res.is_prime
         assert res.kind == "dimension"
 
     def test_bound_too_small(self, model_half):
-        with pytest.raises(BoundTooSmallError):
-            primality_oracle(model_half, X_MINUS_2Y, bound=5)
+        """A bound below the window 2 * 3 + 2 is raised to it."""
+        res = primality_oracle(model_half, X_MINUS_2Y, bound=5)
+        assert res == primality_oracle(model_half, X_MINUS_2Y)
+        assert res.bound == model_half.bound == 8
 
-    def test_model_below_the_generator_bound_is_refused(self):
-        # B* = 5: a model never extended (bound 0) holds no generator, and
-        # any extended one reaches 5
-        model = SectionRing(d({FiniteP1(-1): F(6, 5)}))
-        with pytest.raises(BoundTooSmallError, match="below B"):
-            primality_oracle(model, PrimeCandidate(rf((1,), (1, 1)), 1))
-        assert build_section_ring(model.divisor, 3).bound == 5
+    def test_model_below_the_generator_bound_is_grown(self):
+        """B* = 5: a model never extended (bound 0) holds no generator; the
+        oracle extends it to B*, reads the window 2 * 5 + 1 from the
+        generators in degrees 1, 1, 5, and extends it to the window."""
+        D = d({FiniteP1(-1): F(6, 5)})
+        model = SectionRing(D)
+        res = primality_oracle(model, PrimeCandidate(rf((1,), (1, 1)), 1))
+        fresh = build_section_ring(D, 11)
+        assert res.bound == model.bound == fresh.bound == 11
+        assert model.generator_degrees == [1, 1, 5]
+        assert model.dims == fresh.dims and model.generators == fresh.generators
 
-    def test_bound_exceeding_model_rejected(self, model_half):
-        with pytest.raises(BoundTooSmallError):
-            primality_oracle(model_half, X_MINUS_2Y, bound=model_half.bound + 1)
+    def test_bound_exceeding_model_grows_it(self):
+        model = build_section_ring(D_HALF, 8)
+        res = primality_oracle(model, X_MINUS_2Y, bound=12)
+        assert res.bound == model.bound == 12
+        assert res == reference_oracle(model, X_MINUS_2Y, 12)
+        assert model.dims == build_section_ring(D_HALF, 12).dims
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_is_refused_before_any_extension(self, degree):
+        """Degree 0 would make every quotient dimension dim R_n - dim R_n = 0
+        and call the constant 1 prime; degree -1 would read past the dims."""
+        for model in (SectionRing(D_HALF), build_section_ring(D_HALF, 8)):
+            bound = model.bound
+            with pytest.raises(ValueError, match="outside the model bound"):
+                primality_oracle(model, PrimeCandidate(rf((1,)), degree))
+            assert model.bound == bound
 
     def test_witness_product_lands_in_ideal(self, model_half):
         res = primality_oracle(model_half, X_GEN)
@@ -252,8 +274,7 @@ def oracle_cases(draw):
         if over_nf:
             coeffs = [c + draw(st.integers(-1, 1)) * SQRT2 for c in coeffs]
         assume(any(coeffs))
-    model, _ = _model_for_oracle(D, [degree], None, None)
-    return model, PrimeCandidate(piece.function(Poly(coeffs)), degree)
+    return _model_for_oracle(D, None), PrimeCandidate(piece.function(Poly(coeffs)), degree)
 
 
 class TestIndecomposablePairs:
@@ -261,7 +282,8 @@ class TestIndecomposablePairs:
     @settings(max_examples=200)
     def test_oracle_matches_all_pairs(self, case):
         model, cand = case
-        assert primality_oracle(model, cand) == reference_oracle(model, cand)
+        res = primality_oracle(model, cand)  # extends the model to its window
+        assert res == reference_oracle(model, cand)
 
 
 ORACLE_POINTS = (FiniteP1(0), FiniteP1(1), FiniteP1(-1), FiniteP1(F(1, 2)), FiniteP1(3), P1_INFINITY)
@@ -283,6 +305,9 @@ def oracle_model_cases(draw):
 
 
 class TestModelForOracle:
+    """`_model_for_oracle` builds the model of a `primes` job at its bound,
+    raised to B*; `primality_oracle` extends it to the window."""
+
     def test_builds_once_and_extends_to_the_window(self, monkeypatch):
         models, bounds = [], []
 
@@ -296,12 +321,13 @@ class TestModelForOracle:
                 return super().extend(bound)
 
         monkeypatch.setattr(prime_elements, "SectionRing", CountingRing)
-        model, windows = _model_for_oracle(D_HALF, [2], 3, None)
+        model = _model_for_oracle(D_HALF, 3)
+        res = primality_oracle(model, PrimeCandidate(X_MINUS_2Y.g, 2))
         assert models == [model]
-        # one extend to the requested bound, one to the window
-        assert bounds == [3, 8]
+        # the requested bound, the oracle's B* (a no-op) and its window
+        assert bounds == [3, 3, 8]
         # window 2 * 3 + 2: generators of degree 3 sit at B* = 3
-        assert model.bound == 8 and windows == {2: 8}
+        assert model.bound == res.bound == 8
         fresh = build_section_ring(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators
@@ -310,24 +336,46 @@ class TestModelForOracle:
     def test_extends_until_its_own_window_fits(self, bound):
         """Bound 1 holds no generator (R_1 = 0) and bound 2 misses the one in
         degree 3; both are extended to generator_bound = 3, whose generators
-        give the windows 2 * 3 + 1 and 2 * 3 + 2."""
+        give a degree-2 candidate the window 2 * 3 + 2, above the bound 7
+        asked of the oracle."""
         D = d({FiniteP1(0): F(-3, 2), FiniteP1(1): F(-3, 2), P1_INFINITY: F(7, 2)})
-        model, windows = _model_for_oracle(D, [1, 2], bound, None)
-        assert model.generator_degrees == [2, 2, 3]
-        assert windows == {1: 7, 2: 8} and model.bound == 8
+        model = _model_for_oracle(D, bound)
+        assert model.generator_degrees == [2, 2, 3] and model.bound == 3
+        cand = PrimeCandidate(model.piece(2).function(Poly([1])), 2)
+        assert primality_oracle(model, cand, 7).bound == model.bound == 8
 
     @given(oracle_model_cases())
     @settings(max_examples=100)
     def test_every_bound_gives_the_model_at_the_generator_bound(self, case):
-        """From any bound, the generators and windows are those of the model
-        built at B*, which holds every generator."""
-        D, bound, degree = case
+        """From any bound, the generators are those of the model built at
+        B*, which holds every generator."""
+        D, bound, _ = case
         fresh = build_section_ring(D, SectionRing(D).generator_bound)
-        model, windows = _model_for_oracle(D, [degree], bound, None)
+        model = _model_for_oracle(D, bound)
         assert model.generators == fresh.generators
-        window = 2 * max(fresh.generator_degrees) + degree
-        assert windows == {degree: window}
-        assert model.bound == max(bound, fresh.bound, window)
+        assert model.bound == max(bound, fresh.bound)
+
+    @given(oracle_model_cases(), st.data())
+    @settings(max_examples=100)
+    def test_the_oracle_raises_every_bound_to_its_window(self, case, data):
+        """For b from 1 to window + 4, the oracle on a model never extended
+        reports the bound max(window, b), leaves the model equal to a fresh
+        build at that bound, and agrees with the span reference there."""
+        D, _, degree = case
+        piece = Piece(D, degree)
+        assume(piece.dim)
+        window = 2 * max(build_section_ring(D, 1).generator_degrees) + degree
+        b = data.draw(st.integers(1, window + 4), label="b")
+        j = data.draw(st.integers(0, piece.dim - 1), label="column")
+        cand = PrimeCandidate(piece.function(Poly([0] * j + [1])), degree)
+        model = SectionRing(D)
+        res = primality_oracle(model, cand, b)
+        assert res.bound == max(window, b)
+        fresh = build_section_ring(D, res.bound)
+        assert (model.bound, model.dims, model.generators) == (
+            fresh.bound, fresh.dims, fresh.generators,
+        )
+        assert res == reference_oracle(model, cand, res.bound)
 
 
 @st.composite
@@ -363,13 +411,14 @@ def oracle_window_cases(draw):
     degree = draw(st.sampled_from([1, 2])) if Piece(D, 1).dim else 2
     piece = Piece(D, degree)
     assume(piece.dim)
-    model, windows = _model_for_oracle(D, [degree], draw(st.integers(1, top + 8)), None)
-    model.extend(max(model.bound, windows[degree] + draw(st.integers(0, 6))))
+    model = _model_for_oracle(D, draw(st.integers(1, top + 8)))
+    default = 2 * max(model.generator_degrees) + degree
+    model.extend(default + draw(st.integers(0, 6)))
     coeffs = [draw(st.integers(-2, 2)) for _ in range(piece.dim)]
     if curve.field:
         coeffs = [c + draw(st.integers(-1, 1)) * SQRT2 for c in coeffs]
     assume(any(coeffs))
-    window = draw(st.integers(windows[degree], model.bound))
+    window = draw(st.integers(default, model.bound))
     return model, PrimeCandidate(piece.function(Poly(coeffs)), degree), window
 
 
@@ -532,8 +581,8 @@ class TestConstructedPrimes:
         D, N, point = drawn
         cand = construct_prime(D, N, point)
         assert cand.divisor == divisor_of(cand.g)
-        model, windows = _model_for_oracle(D, [N], None, None)
-        assume(primality_oracle(model, cand, windows[N]).is_prime)
+        model = _model_for_oracle(D, None)
+        assume(primality_oracle(model, cand).is_prime)
         assert quotient_profile(model, cand).s == 1
 
 

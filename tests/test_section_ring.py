@@ -238,8 +238,8 @@ class TestModelGuards:
 
     def test_generator_at_the_proven_bound_does_not_warn(self):
         """B* = 3 holds the third generator, so bound 2 becomes 3, with no
-        warning; a bound raised to the current one is no shrink, a smaller
-        one still is."""
+        warning; a bound at or below the current one leaves the model as it
+        is."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             model = build_section_ring(D_HALF, 2)
@@ -248,8 +248,9 @@ class TestModelGuards:
         assert model.generator_degrees == [2, 2, 3]
         assert model.extend(1).bound == 3
         model.extend(6)
-        with pytest.raises(ValueError, match="cannot shrink"):
-            model.extend(4)
+        dims, generators = model.dims, list(model.generators)
+        assert model.extend(4) is model
+        assert (model.bound, model.dims, model.generators) == (6, dims, generators)
 
     def test_piece_outside_bound(self):
         model = build_section_ring(D_HALF)
@@ -747,6 +748,17 @@ class TestReferenceCrossChecks:
             (g.degree, g.column) for g in ref.generators
         ]
         assert model.dims == ref.dims
+
+    @given(ring_cases(), st.data())
+    @settings(max_examples=200)
+    def test_an_extended_model_is_irredundant(self, case, data):
+        """The flag that `extend` sets is gcd(support of the dims) == 1, from
+        any bound (proof in `SectionRing.extend`)."""
+        D, _ = case
+        bound = data.draw(st.none() | st.integers(1, SectionRing(D).generator_bound + 1))
+        model = SectionRing(D).extend(bound)
+        support = [n for n, dim in enumerate(model.dims) if n and dim]
+        assert model.irredundant == (math.gcd(*support) == 1)
 
 
 def reference_find_relations(model):

@@ -12,6 +12,10 @@ on its job file and argv alone, so no module may name `os.environ`,
 
 Nor does it warn: every model reaches its proven generator bound, so what
 it returns is a value or an error, and no module calls `warnings.warn`.
+
+Nor does it keep dead error classes: every exception class of
+`qsection/errors.py` is raised somewhere in the package, except
+`BoundTooSmallWarning`, which the acceptance suite imports.
 """
 
 import ast
@@ -125,3 +129,41 @@ def test_package_calls_no_warnings_warn():
     assert SOURCES
     found = {path.name: warning_calls(path.read_text(encoding="utf-8")) for path in SOURCES}
     assert not any(found.values()), {name: calls for name, calls in found.items() if calls}
+
+
+KEPT_UNRAISED = {"BoundTooSmallWarning"}
+
+
+def raised_names(source: str) -> set[str]:
+    """The class names that `raise` statements in source name: X for
+    `raise X`, `raise X(...)`, `raise m.X(...)` and `raise X(...) from e`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name):
+            found.add(exc.id)
+        elif isinstance(exc, ast.Attribute):
+            found.add(exc.attr)
+    return found
+
+
+def test_the_raise_check_sees_raised_classes_only():
+    source = (
+        "try:\n    raise A\nexcept B:\n    raise\n"
+        "raise C('c')\nraise errors.D()\nraise E('e') from exc\nx = F('f')\n"
+    )
+    assert raised_names(source) == {"A", "C", "D", "E"}
+
+
+def test_every_error_class_is_raised():
+    errors = next(path for path in SOURCES if path.name == "errors.py")
+    classes = {
+        node.name
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set().union(*(raised_names(path.read_text(encoding="utf-8")) for path in SOURCES))
+    assert classes > KEPT_UNRAISED
+    assert classes - KEPT_UNRAISED <= raised, sorted(classes - KEPT_UNRAISED - raised)
