@@ -11,13 +11,15 @@ A point is checked where it enters: the `QDivisor` constructor or
 those `prime_elements` constructs and `p1.divisor_of` hold checked points,
 so `QDivisor._checked` builds them: it only drops zeros and sorts.  The
 order is by point, and `scale`, `-D` and `floor` move no point, so they keep
-their operand's order and sort nothing.  The numeric reads (`degree`,
-`is_integral`, `common_denominator`, `fractional_support`) use the integer
+their operand's order and sort nothing; `D + E` merges the two ordered
+entry tuples.  The numeric reads (`degree`, `is_integral`,
+`common_denominator`, `fractional_support`) use the integer
 `coefficient_pairs`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,9 +94,13 @@ def point_sort_key(pt: CurvePoint):
     return (1,)
 
 
+def _entry_key(item):
+    return point_sort_key(item[0])
+
+
 def _sorted(entries) -> list:
     """(point, coefficient) pairs in canonical order."""
-    return sorted(entries, key=lambda item: point_sort_key(item[0]))
+    return sorted(entries, key=_entry_key)
 
 
 class QDivisor:
@@ -167,10 +173,15 @@ class QDivisor:
             return NotImplemented
         if self.curve != other.curve:
             raise MixedCurveError("divisors live on different curves")
-        merged = dict(self.entries)
-        for pt, c in other.entries:
-            merged[pt] = merged.get(pt, Fraction(0)) + c
-        return QDivisor._checked(self.curve, merged.items())
+        # both entry tuples are in canonical order with distinct points, so a
+        # point of both meets its twin next to it in the merged order
+        merged: list = []
+        for pt, c in heapq.merge(self.entries, other.entries, key=_entry_key):
+            if merged and merged[-1][0] == pt:
+                merged[-1] = (pt, merged[-1][1] + c)
+            else:
+                merged.append((pt, c))
+        return QDivisor._checked(self.curve, merged, ordered=True)
 
     def __sub__(self, other):
         if not isinstance(other, QDivisor):

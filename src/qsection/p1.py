@@ -133,6 +133,9 @@ def _rational_linear_roots(p: Poly) -> tuple[dict[Fraction, int], Poly]:
     work = Poly(coeffs)
     if work.degree <= 0:
         return roots, work
+    if work.degree == 1:  # c0 + c1*w: the root -c0/c1, and c1 is left over
+        roots[-coeffs[0] / coeffs[1]] = 1
+        return roots, Poly([coeffs[1]])
     ints, scale = _scaled_ints(coeffs)
     content = math.gcd(*ints)  # a constant factor must not widen the search
     ints = [c // content for c in ints]

@@ -105,6 +105,18 @@ scalar field; a count of leading monomials decides which degrees need it at
 all (below).  A model can be extended to a higher bound in place; it then
 equals a model built at that bound from scratch.
 
+Shared divisor data.  Everything a model computes before the relations is
+determined by D alone: the piece of each degree, the generators of each
+degree up to B* (the span of degree n reads only D and the generators below
+n), and the products and carries.  Models of equal divisors share one record
+of them (`_DivisorData`), held for the 16 divisors modelled most recently.
+A model keeps its own bound and its own lists of pieces and generators,
+read from the record up to its bound (every generator lies at or below B*,
+so an extended model lists them all), and reports what a cold build at its
+bound reports; `extend` builds the piece and forms the span of a degree only
+when no model of D has reached that degree.  The record is not locked:
+models of one divisor must not be extended from several threads at once.
+
 Proven generator bound.  Let N be the common denominator of the
 coefficients, so that N*D is integral and floor((n+N)*D) = floor(n*D) + N*D.
 On the line, multiplication H0(O(A)) x H0(O(B)) -> H0(O(A+B)) is onto
@@ -195,7 +207,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add
 
 from .divisors import InfinityP1, ProjectiveLine, QDivisor
@@ -400,6 +412,39 @@ def exponent_vectors(degrees: list[int], total: int):
     return out
 
 
+class _DivisorData:
+    """The record that the models of one divisor share (see "Shared divisor
+    data" in the module docstring): the pieces of the degrees 0, 1, ...
+    reached so far, the generators found in them in order of degree, and the
+    product memos of `SectionRing._product` and `SectionRing.carry`."""
+
+    __slots__ = ("pieces", "generators", "points", "products", "carries")
+
+    def __init__(self, divisor: QDivisor):
+        self.pieces = [Piece(divisor, 0)]
+        self.generators: list[Generator] = []
+        # (numerator, denominator, (integer factor, B)) of each finite point
+        self.points = [
+            (c.numerator, c.denominator, _linear_factor(pt.coord))
+            for pt, c in divisor.entries
+            if not isinstance(pt, InfinityP1)
+        ]
+        # (c, B) of prod_x (w - x)^e_x, keyed by the exponent vector (e_x)
+        self.products: dict[tuple[int, ...], tuple[list, int]] = {}
+        # carry(a, b) by the pair with a <= b
+        self.carries: dict[tuple[int, int], tuple[list, int]] = {}
+
+
+# A divisor's jobs (enumerate, construct, check) tend to arrive close
+# together, so a short history catches the repeats: over the primes-mix
+# benchmark streams of seeds 0-5, 16 records catch 162 of 222 lookups, as
+# many as 32 do, and 8 catch 138.  The bound caps the memory a long-lived
+# process spends on divisors it no longer models.
+@lru_cache(maxsize=16)
+def _divisor_data(divisor: QDivisor) -> _DivisorData:
+    return _DivisorData(divisor)
+
+
 class SectionRing:
     """Model of the section ring of an ample divisor up to a degree bound.
 
@@ -415,20 +460,11 @@ class SectionRing:
         if not isinstance(divisor.curve, ProjectiveLine):
             raise ValueError("section-ring models are built on the projective line")
         self.divisor = divisor
+        self._data = _divisor_data(divisor)
         self.bound = 0
-        self.pieces = [Piece(divisor, 0)]
+        self.pieces = self._data.pieces[:1]
         self.generators: list[Generator] = []
         self.irredundant = False
-        # (numerator, denominator, (integer factor, B)) of each finite point
-        self._points = [
-            (c.numerator, c.denominator, _linear_factor(pt.coord))
-            for pt, c in divisor.entries
-            if not isinstance(pt, InfinityP1)
-        ]
-        # (c, B) of prod_x (w - x)^e_x, keyed by the exponent vector (e_x)
-        self._products: dict[tuple[int, ...], tuple[list, int]] = {}
-        # carry(a, b) by the pair with a <= b
-        self._carries: dict[tuple[int, int], tuple[list, int]] = {}
 
     def piece(self, n: int) -> Piece:
         if n < 0 or n > self.bound:
@@ -465,10 +501,10 @@ class SectionRing:
     def _product(self, expo: tuple[int, ...]) -> tuple[list, int]:
         """(c, B) with prod_x (w - x)^e_x = c / B over the finite points, every
         e_x >= 0: the den of `_h0_factors`; memoized by the exponent vector."""
-        out = self._products.get(expo)
+        out = self._data.products.get(expo)
         if out is None:
-            out = self._products[expo] = _h0_factors(
-                (factor, e) for e, (_, _, factor) in zip(expo, self._points)
+            out = self._data.products[expo] = _h0_factors(
+                (factor, e) for e, (_, _, factor) in zip(expo, self._data.points)
             )[0]
         return out
 
@@ -476,12 +512,12 @@ class SectionRing:
         """(c, B) with carry(a, b) = c / B, the product formula for the two
         degrees a and b (see the module docstring); memoized by the pair."""
         key = (a, b) if a <= b else (b, a)
-        out = self._carries.get(key)
+        out = self._data.carries.get(key)
         if out is None:
             n = a + b
-            out = self._carries[key] = self._product(
+            out = self._data.carries[key] = self._product(
                 tuple(n * num // den - a * num // den - b * num // den
-                      for num, den, _ in self._points)
+                      for num, den, _ in self._data.points)
             )
         return out
 
@@ -494,7 +530,7 @@ class SectionRing:
         n = sum(e * g.degree for e, g in gens)
         coeffs, B = self._product(
             tuple(n * num // den - sum(e * (g.degree * num // den) for e, g in gens)
-                  for num, den, _ in self._points)
+                  for num, den, _ in self._data.points)
         )
         return sum(e * g.column for e, g in gens), coeffs, B
 
@@ -516,7 +552,9 @@ class SectionRing:
         already-known generators, sum_g g * R_{n - d_g}, is echelonized
         inside the piece; basis elements at the non-pivot columns (left to
         right) become new generators.  Higher degrees hold no generator and
-        get their piece only.
+        get their piece only.  A degree that a model of an equal divisor has
+        reached takes its piece and generators from the shared record, with
+        no span (see "Shared divisor data" in the module docstring).
 
         An extended model is irredundant: its support {1 <= n <= bound :
         R_n != 0} has gcd one.  If no R_n with n >= 1 is zero, degree 1 is
@@ -531,24 +569,28 @@ class SectionRing:
             raise ValueError("bound must be at least 1")
         top = self.generator_bound
         bound = max(bound, top, self.bound)
-        for n in range(self.bound + 1, bound + 1):
+        data = self._data
+        # degrees no model of the divisor has reached; the record holds every
+        # generator below each of them
+        for n in range(len(data.pieces), bound + 1):
             piece = Piece(self.divisor, n)
-            self.pieces.append(piece)
-            if piece.dim == 0 or n > top:
-                continue
-            span = SpanBuilder(piece.dim)
-            for g in self.generators:
-                if span.rank == piece.dim:
-                    break
-                carry = self.carry(g.degree, n - g.degree)[0]
-                for j in range(self.pieces[n - g.degree].dim):
-                    span.add(piece.vector(carry, g.column + j))
+            if piece.dim and n <= top:
+                span = SpanBuilder(piece.dim)
+                for g in data.generators:
                     if span.rank == piece.dim:
                         break
-            pivots = set(span.pivots)
-            for j in range(piece.dim):
-                if j not in pivots:
-                    self.generators.append(Generator(n, j, piece))
+                    carry = self.carry(g.degree, n - g.degree)[0]
+                    for j in range(data.pieces[n - g.degree].dim):
+                        span.add(piece.vector(carry, g.column + j))
+                        if span.rank == piece.dim:
+                            break
+                pivots = set(span.pivots)
+                data.generators.extend(
+                    Generator(n, j, piece) for j in range(piece.dim) if j not in pivots
+                )
+            data.pieces.append(piece)
+        self.pieces = data.pieces[: bound + 1]
+        self.generators = data.generators[:]  # all of them, as top <= bound
         self.bound = bound
         self.irredundant = True
         return self

@@ -1,6 +1,9 @@
 import re
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from qsection import section_ring
 
 settings.register_profile(
     "qsection",
@@ -12,6 +15,14 @@ settings.register_profile(
     ],
 )
 settings.load_profile("qsection")
+
+
+@pytest.fixture(autouse=True)
+def cold_divisor_data():
+    """Each test starts with no shared divisor data, so no test reads the
+    models another test built (see "Shared divisor data" in `section_ring`)."""
+    section_ring._divisor_data.cache_clear()
+
 
 _CRITERION_LABELS = {
     1: "half-integer three-point model",

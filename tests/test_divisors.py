@@ -13,6 +13,7 @@ from qsection.divisors import (
     FiniteP1,
     ProjectiveLine,
     QDivisor,
+    point_sort_key,
 )
 from qsection.errors import MixedCurveError
 from qsection.exact_arith import NumberField
@@ -236,6 +237,25 @@ class TestDerivedOrder:
         for got, values in derived:
             assert_built_from_scratch(got, curve, values)
             assert_fraction_definitions(got)
+
+    @given(st.data())
+    def test_sum_equals_the_sorted_construction(self, data):
+        """D + E merges the two ordered entry tuples; the construction it
+        replaced, a dict merge sorted by point, is the reference, on the line
+        over Q and Q(sqrt 2) and on Weierstrass curves."""
+        curve, points = data.draw(curve_points())
+        D = QDivisor(curve, data.draw(entry_lists(points)))
+        cancelled = data.draw(st.lists(st.sampled_from(D.entries), unique=True)) if D.entries else []
+        E = QDivisor(curve, data.draw(entry_lists(points)) + [(pt, -c) for pt, c in cancelled])
+        merged = dict(D.entries)
+        for pt, c in E.entries:
+            merged[pt] = merged.get(pt, F(0)) + c
+        want = sorted(
+            ((pt, c) for pt, c in merged.items() if c), key=lambda item: point_sort_key(item[0])
+        )
+        got = D + E
+        assert got.entries == tuple(want)
+        assert got.coefficient_pairs == tuple((c.numerator, c.denominator) for _, c in want)
 
     def test_canonical_order_is_pinned(self):
         # finite points by coordinate, negative before positive, the point at

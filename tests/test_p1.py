@@ -336,6 +336,11 @@ class TestLinearRoots:
         st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 6)),
     )
     @settings(max_examples=200)
+    # degree one after the roots at zero are peeled: the root is read off
+    @example(roots=[F(3, 2)], rest=[], scale=F(-5, 3))
+    @example(roots=[F(0), F(0), F(-7, 4)], rest=[], scale=F(2, 7))
+    @example(roots=[], rest=[0, 3, -4], scale=F(1, 6))
+    @example(roots=[F(1000003, 999983)], rest=[], scale=F(1))
     def test_integer_trial_division_matches_fraction_reference(self, roots, rest, scale):
         # (w - r) over the drawn roots times a residual factor, scaled
         p = Poly([scale]) * (Poly([c for c in rest]) if any(rest) else Poly.one())
@@ -365,7 +370,9 @@ class TestLinearRoots:
         assert list(got_roots.items()) == list(want_roots.items())
         assert got_residual == want_residual
         assert repr(got_residual) == repr(want_residual)
-        assert divisions == [(2, 1)] * sum(m for r, m in got_roots.items() if r)
+        # a linear primitive form gives its root with no division
+        linear = p.degree - got_roots.get(F(0), 0) == 1
+        assert divisions == ([] if linear else [(2, 1)] * sum(m for r, m in got_roots.items() if r))
 
 
 def reference_h0_factors(exponents):

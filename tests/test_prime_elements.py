@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cold_build import cold_build
 from dense_span import dense
 from qsection.divisors import ECAffine, FiniteP1, P1_INFINITY, ProjectiveLine, QDivisor
 from qsection import prime_elements
@@ -159,7 +160,7 @@ class TestPrimalityOracle:
         D = d({FiniteP1(-1): F(6, 5)})
         model = SectionRing(D)
         res = primality_oracle(model, PrimeCandidate(rf((1,), (1, 1)), 1))
-        fresh = build_section_ring(D, 11)
+        fresh = cold_build(D, 11)
         assert res.bound == model.bound == fresh.bound == 11
         assert model.generator_degrees == [1, 1, 5]
         assert model.dims == fresh.dims and model.generators == fresh.generators
@@ -328,7 +329,7 @@ class TestModelForOracle:
         assert bounds == [3, 3, 8]
         # window 2 * 3 + 2: generators of degree 3 sit at B* = 3
         assert model.bound == res.bound == 8
-        fresh = build_section_ring(D_HALF, 8)
+        fresh = cold_build(D_HALF, 8)
         assert model.dims == fresh.dims
         assert model.generators == fresh.generators
 
@@ -350,8 +351,8 @@ class TestModelForOracle:
         """From any bound, the generators are those of the model built at
         B*, which holds every generator."""
         D, bound, _ = case
-        fresh = build_section_ring(D, SectionRing(D).generator_bound)
         model = _model_for_oracle(D, bound)
+        fresh = cold_build(D, model.generator_bound)
         assert model.generators == fresh.generators
         assert model.bound == max(bound, fresh.bound)
 
@@ -371,7 +372,7 @@ class TestModelForOracle:
         model = SectionRing(D)
         res = primality_oracle(model, cand, b)
         assert res.bound == max(window, b)
-        fresh = build_section_ring(D, res.bound)
+        fresh = cold_build(D, res.bound)
         assert (model.bound, model.dims, model.generators) == (
             fresh.bound, fresh.dims, fresh.generators,
         )

@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_span
+from cold_build import cold_build
 from dense_span import dense
 from field_kernel import kernel_basis
 from long_division import reference_divrem
@@ -273,7 +274,7 @@ class TestModelExtension:
         find_relations(extended)
         hilbert_series(extended)
         extended.extend(target)
-        fresh = build_section_ring(D, target)
+        fresh = cold_build(D, target)
         assert extended.bound == fresh.bound == target
         assert extended.dims == fresh.dims
         assert extended.generators == fresh.generators
