@@ -36,7 +36,10 @@ mu != 0; likewise r_a2 * r_b = nu * r_(a2+b) with nu != 0 (a2 < a <= b), and
 r_a1 * r_(a2+b) != 0 (a1 < a).  Hence
 r_a * r_b = (nu / mu) * r_a1 * r_(a2+b) != 0, a contradiction.  The first
 vanishing pair therefore has an indecomposable a, so restricting a keeps
-both the verdict and the witness.
+both the verdict and the witness.  As a <= b and a + b lie within the
+window W, the scan takes a in S up to W/2, skips the a in the set of sums
+a1 + a2 of two degrees of S (made once up to W/2, as the set bits of an
+int), and takes b in S from a up to W - a, in the same order.
 
 One row per degree.  Once every quotient dimension up to the window is at
 most one, x*R_{m-d} needs no span.  Let k = dim R_{m-d} and write qdims[m]
@@ -63,6 +66,44 @@ vanishes in the quotient iff sum_i c_i * lambda_(a+b)[j_a+j_b+i] = 0, with
 c the coefficients of carry(a, b).  Scaling base or c by a nonzero constant
 scales lambda or the sum, so integer multiples serve, and the same scalar
 operators work over a number field.
+
+Two reads.  The oracle and `necessary_check` see a candidate g*T^d only
+through its coordinate polynomial q in R_d, g = q * prod_x (w - x)^(-f_x)
+with f_x = floor(d*c_x) over the finite points x (see `section_ring`), read
+once per piece (`_candidate_coords`).
+
+* q from the divisor.  A candidate that `_constructed` builds carries
+  A = div(g), as `principal_function(A)` has exactly that divisor.  Then q
+  has order A_x + f_x at every finite point x (A_x = 0 off the support of
+  A, f_x = 0 off that of D) and no other zero, so a multiple of q is
+  prod_x (w - x)^(A_x + f_x), which `p1._h0_factors` writes down with no
+  division (`_divisor_coords`).  g lies in R_d exactly when
+  div(g) + floor(d*D) >= 0: at a finite x when A_x + f_x >= 0, and at
+  infinity when A_inf + f_inf >= 0, where A_inf = -sum_x A_x (deg A = 0),
+  that is when deg q = sum_x (A_x + f_x) <= deg floor(d*D) = dim R_d - 1.
+  So a negative or fractional exponent, or exponents summing past
+  dim R_d - 1, raise MembershipError, the test `Piece.vector` makes.  Over
+  Q each factor b*w - a is primitive with a positive lead, so by Gauss's
+  lemma the product is the primitive multiple with a positive lead that
+  `primitive_multiple` makes of `Piece.member(g)`; over a number field
+  both are monic.  The two reads give the same list.  `PrimeCandidate.
+  divisor` must therefore be div(g), or the oracle would test another
+  element than the g that is printed; only `_constructed` sets it.
+
+* div(g) from q.  Conversely ord_x(g) = ord_x(q) - f_x at a finite support
+  point x of D, ord_y(g) = ord_y(q) at any other finite point y, and
+  ord_inf(g) = sum_x f_x - deg q, as a polynomial of degree k has order -k
+  at infinity (`_candidate_divisor`).  ord_x(q) at a support point is read
+  by exact division by its linear factor, so a support point with a
+  number-field coordinate needs no root search; the rest of q goes to
+  `p1._rational_linear_roots`, and a residual factor of degree >= 1 raises
+  IrrationalZerosError.  q has degree at most dim R_d - 1, where `divisor_of`
+  searches the numerator and the denominator of g.  Whenever
+  `divisor_of(g)` returns, g has rational coefficients and rational zeros
+  and poles, and so has q with its support factors divided out: both give
+  div(g).  The read off q also succeeds when g's only factors outside Q
+  are powers of w - x at support points x.  `divisor_of` and
+  `Piece.member` are the test references of the two reads.
 """
 
 from __future__ import annotations
@@ -71,10 +112,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .divisors import CurvePoint, FiniteP1, QDivisor, point_sort_key
+from .divisors import P1_INFINITY, CurvePoint, FiniteP1, InfinityP1, QDivisor, point_sort_key
 from .errors import (
     BoundTooSmallError,
     HypothesisViolatedError,
+    IrrationalZerosError,
     MembershipError,
     NegativeDimError,
     NotAmpleError,
@@ -82,9 +124,15 @@ from .errors import (
     QSectionError,
     ZeroCandidateError,
 )
-from .exact_arith import convolve, primitive_multiple
-from .p1 import RationalFunctionP1, divisor_of, principal_function
-from .section_ring import SectionRing
+from .exact_arith import Poly, convolve, primitive_multiple, pseudo_divrem
+from .p1 import (
+    RationalFunctionP1,
+    _h0_factors,
+    _linear_factor,
+    _rational_linear_roots,
+    principal_function,
+)
+from .section_ring import Piece, SectionRing
 
 
 @dataclass(frozen=True)
@@ -172,19 +220,85 @@ def veronese_transform(D: QDivisor, s: int) -> QDivisor:
     return D.scale(s)
 
 
+def _finite_floors(piece: Piece) -> dict:
+    """{x: floor(n*c_x)} over the finite support points x of the piece's
+    divisor, n its degree."""
+    n = piece.degree_t
+    return {
+        pt: n * c.numerator // c.denominator
+        for pt, c in piece.divisor.entries
+        if not isinstance(pt, InfinityP1)
+    }
+
+
+def _divisor_coords(piece: Piece, A: QDivisor) -> list:
+    """The coordinate polynomial prod_x (w - x)^(A_x + floor(n*c_x)) of the
+    function with divisor A (see "Two reads" in the module docstring); raises
+    MembershipError when an exponent is negative or not an integer, or when
+    they sum past the top column."""
+    expo = _finite_floors(piece)
+    for pt, c in A.entries:
+        if not isinstance(pt, InfinityP1):
+            expo[pt] = expo.get(pt, 0) + c
+    if any(e < 0 or e.denominator != 1 for e in expo.values()) or sum(expo.values()) >= piece.dim:
+        raise MembershipError(f"function is not a section in degree {piece.degree_t}")
+    return _h0_factors((_linear_factor(pt.coord), int(e)) for pt, e in expo.items())[0][0]
+
+
 def _candidate_coords(model: SectionRing, cand: PrimeCandidate) -> list:
     """A multiple of the candidate's coordinate polynomial in the piece of its
     degree, read once per piece and kept on the candidate with the piece it
     was read in, which is recognized by identity, so no piece is hashed:
-    primitive ints when rational, lowest degree first, last entry nonzero."""
+    primitive ints when rational, lowest degree first, last entry nonzero.
+    A constructed candidate is written down from its divisor, any other one
+    is read by `Piece.member` (see "Two reads" in the module docstring)."""
     if cand.g.is_zero:
         raise ZeroCandidateError("the candidate is the zero function, which is never prime")
     piece = model.piece(cand.degree)
     read = cand._read
     if read[0] is not piece:
-        vec = piece.member(cand.g)
-        read[:] = piece, primitive_multiple([vec.get(j, 0) for j in range(max(vec) + 1)])
+        if cand.divisor is not None:
+            q = _divisor_coords(piece, cand.divisor)
+        else:
+            vec = piece.member(cand.g)
+            q = primitive_multiple([vec.get(j, 0) for j in range(max(vec) + 1)])
+        read[:] = piece, q
     return read[1]
+
+
+def _order(q: list, factor: list) -> tuple[int, list]:
+    """(k, a nonzero multiple of q / factor^k), k the order of the nonzero
+    list q at the zero of the linear factor."""
+    k = 0
+    while len(q) > 1:
+        quo, rem, _ = pseudo_divrem(q, factor)
+        if any(rem):
+            break
+        q, k = quo, k + 1
+    return k, q
+
+
+def _candidate_divisor(model: SectionRing, cand: PrimeCandidate) -> QDivisor:
+    """div(g), read off the coordinate polynomial q of the candidate (see
+    "Two reads" in the module docstring); raises IrrationalZerosError when q
+    keeps a factor of degree >= 1 with no rational zero."""
+    q = _candidate_coords(model, cand)
+    floors = _finite_floors(model.piece(cand.degree))
+    entries = [(P1_INFINITY, Fraction(sum(floors.values()) - len(q) + 1))]
+    rest = q
+    for pt, e in floors.items():
+        k, rest = _order(rest, _linear_factor(pt.coord)[0])
+        entries.append((pt, Fraction(k - e)))
+    zeros, residual = _rational_linear_roots(
+        Poly([Fraction(c) if type(c) is int else c for c in rest])
+    )
+    if residual.degree > 0:
+        raise IrrationalZerosError(
+            f"a degree-{residual.degree} factor has no rational zeros: {residual!r}"
+        )
+    curve = model.divisor.curve
+    entries += [(curve.lift_point(FiniteP1(r)), Fraction(m)) for r, m in zeros.items()]
+    return QDivisor._checked(curve, entries)
 
 
 def _quotient_dims(dims: list[int], d: int, upto: int) -> list[int]:
@@ -219,14 +333,16 @@ def quotient_profile(model: SectionRing, cand: PrimeCandidate) -> QuotientProfil
 
 
 def necessary_check(model: SectionRing, cand: PrimeCandidate) -> NecessaryReport:
-    """Evaluate the necessary arithmetic conditions for cand to be prime."""
+    """Evaluate the necessary arithmetic conditions for cand to be prime;
+    div(g) is read off the candidate's coordinates (see "Two reads" in the
+    module docstring)."""
     prof = quotient_profile(model, cand)
     d, s = cand.degree, prof.s
     D = model.divisor
     sdD = D.scale(s * d)
     scaled_ok = sdD.is_integral() and sdD.degree() == 1
     degree_ok = D.degree() == Fraction(1, s * d)
-    point_div = divisor_of(cand.g, D.curve).scale(s) + sdD
+    point_div = _candidate_divisor(model, cand).scale(s) + sdD
     point = point_div.single_point()
     in_frac = point is not None and point in D.scale(s).fractional_support()
     return NecessaryReport(
@@ -303,21 +419,30 @@ def primality_oracle(
         if qdims[n] > 1:
             return OracleResult(False, "dimension", (n,), eff)
 
-    rows: dict[int, tuple[int, list]] = {}
+    rows: list = [None] * (eff + 1)
 
     def row(m: int) -> tuple[int, list]:
-        if m not in rows:
+        if rows[m] is None:
             rows[m] = _quotient_row(model, q_g, d, m)
         return rows[m]
 
     support = [n for n in range(1, eff + 1) if qdims[n] == 1]
-    in_support = set(support)
-    for a in support:
-        if any(a - a1 in in_support for a1 in support if 2 * a1 <= a):
+    half = eff // 2  # a <= b and a + b <= eff give 2a <= eff
+    # the sums of two support degrees up to half, as the set bits of an int
+    low = sum(1 << n for n in support if n <= half)
+    sums = 0
+    for a1 in support:
+        if 2 * a1 > half:
+            break
+        sums |= low << a1
+    for i, a in enumerate(support):
+        if a > half:
+            break
+        if sums >> a & 1:
             continue
-        for b in support:
-            if b < a or a + b > eff:
-                continue
+        for b in support[i:]:
+            if a + b > eff:
+                break
             shift = row(a)[0] + row(b)[0]
             lam = row(a + b)[1][shift:]
             if not sum(c * l for c, l in zip(model.carry(a, b)[0], lam)):

@@ -108,7 +108,8 @@ equals a model built at that bound from scratch.
 Shared divisor data.  Everything a model computes before the relations is
 determined by D alone: the piece of each degree, the generators of each
 degree up to B* (the span of degree n reads only D and the generators below
-n), and the products and carries.  Models of equal divisors share one record
+n), the products and carries, and B* itself with the stable range of the
+Hilbert fit.  Models of equal divisors share one record
 of them (`_DivisorData`), held for the 16 divisors modelled most recently.
 A model keeps its own bound and its own lists of pieces and generators,
 read from the record up to its bound (every generator lies at or below B*,
@@ -129,8 +130,8 @@ generator, and every generator has degree at most
 
 The set is finite: floor(t) > t - 1, so deg floor(n*D) > n*deg D - k with k
 the number of support points, and R_n != 0 once n*deg D >= k; the scan stops
-there.  `SectionRing.generator_bound` is B*, computed once per model from
-the integer coefficient pairs.  `extend` raises every requested bound
+there.  `SectionRing.generator_bound` is B*, computed once per divisor
+record from the integer coefficient pairs.  `extend` raises every requested bound
 (3N by default) to B*, so every model holds its complete generator list; in
 degrees above B* it records the piece and skips the span.
 
@@ -207,7 +208,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 
 from .divisors import InfinityP1, ProjectiveLine, QDivisor
@@ -416,11 +417,25 @@ class _DivisorData:
     """The record that the models of one divisor share (see "Shared divisor
     data" in the module docstring): the pieces of the degrees 0, 1, ...
     reached so far, the generators found in them in order of degree, and the
-    product memos of `SectionRing._product` and `SectionRing.carry`."""
+    product memos of `SectionRing._product` and `SectionRing.carry`, and the
+    values pure in D that every model reads: `stable_range` (N, n0), with N*D
+    integral and n0 = ceil(k / deg D), k the number of support points, the
+    degree from which on R_n != 0, and `generator_bound`, B* (see the module
+    docstring).  The divisor is ample."""
 
-    __slots__ = ("pieces", "generators", "points", "products", "carries")
+    __slots__ = (
+        "pieces", "generators", "points", "products", "carries", "stable_range",
+        "generator_bound",
+    )
 
     def __init__(self, divisor: QDivisor):
+        pairs = divisor.coefficient_pairs
+        N = math.lcm(*(b for _, b in pairs))
+        degree_N = sum(a * (N // b) for a, b in pairs)  # N * deg D > 0
+        scan_end = -(-len(pairs) * N // degree_N)
+        self.stable_range = N, scan_end
+        empty = [n for n in range(1, scan_end) if _floor_degree(pairs, n) < 0]
+        self.generator_bound = N + max(empty, default=0)
         self.pieces = [Piece(divisor, 0)]
         self.generators: list[Generator] = []
         # (numerator, denominator, (integer factor, B)) of each finite point
@@ -479,24 +494,11 @@ class SectionRing:
     def generator_degrees(self) -> list[int]:
         return [g.degree for g in self.generators]
 
-    @cached_property
-    def _stable_range(self) -> tuple[int, int]:
-        """(N, n0): N*D is integral, and n0 = ceil(k / deg D), with k the
-        number of support points, is the degree from which on R_n != 0 (see
-        the module docstring)."""
-        pairs = self.divisor.coefficient_pairs
-        N = math.lcm(*(b for _, b in pairs))
-        degree_N = sum(a * (N // b) for a, b in pairs)  # N * deg D > 0
-        return N, -(-len(pairs) * N // degree_N)
-
-    @cached_property
+    @property
     def generator_bound(self) -> int:
         """B*, above which no degree holds a generator (see the module
-        docstring)."""
-        N, scan_end = self._stable_range
-        pairs = self.divisor.coefficient_pairs
-        empty = [n for n in range(1, scan_end) if _floor_degree(pairs, n) < 0]
-        return N + max(empty, default=0)
+        docstring); scanned once per divisor record."""
+        return self._data.generator_bound
 
     def _product(self, expo: tuple[int, ...]) -> tuple[list, int]:
         """(c, B) with prod_x (w - x)^e_x = c / B over the finite points, every
@@ -794,7 +796,7 @@ def hilbert_series(model: SectionRing) -> HilbertSeries:
     exps = sorted(model.generator_degrees)
     if not exps:
         raise FitFailedError("model has no generators to build a series from")
-    N, n0 = model._stable_range
+    N, n0 = model._data.stable_range
     start = n0 + sum(exps)
     dims = [graded_dimension(model.divisor, n) for n in range(start + N)]
     num = _mul_one_minus(dims, exps, start + N)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qsection import p1
 from qsection.cli import main
 from qsection.divisors import QDivisor
 from qsection.elliptic import WeierstrassCurve
@@ -65,15 +66,16 @@ def weierstrass_points(job: dict) -> int:
 
 
 # Piece.coords calls per primes job: a check job reads its one candidate
-# once; enumerate and construct read each candidate they confirm
+# once; enumerate and construct write each candidate they confirm from its
+# divisor and read none
 COORDS_READS = {
     "half_integer_check_ok": 1,
     "half_integer_check_refuted": 1,
-    "half_integer_enumerate": 2,
-    "deg42_enumerate": 5,
-    "scroll_enumerate": 2,
-    "scroll_construct": 1,
-    "poly_ring_enumerate": 2,
+    "half_integer_enumerate": 0,
+    "deg42_enumerate": 0,
+    "scroll_enumerate": 0,
+    "scroll_construct": 0,
+    "poly_ring_enumerate": 0,
 }
 
 
@@ -90,9 +92,14 @@ def test_each_point_is_checked_once_where_it_enters(entry, tmp_path, monkeypatch
     """Past the parse, no layer re-validates: the validating `QDivisor`
     constructor never runs, the curve equation is tested once per point the
     job writes (the group law trusts the points it computes), and each prime
-    candidate is read into its piece once."""
+    candidate is read into its piece once, and no job factors a function by
+    `divisor_of`: a check reads the candidate's divisor off its coordinates."""
     calls = Counter()
     monkeypatch.setattr(Piece, "coords", counting(calls, "coords", Piece.coords))
+    divisor_of = counting(calls, "divisor_of", p1.divisor_of)
+    for name, module in list(sys.modules.items()):  # wherever the name is bound
+        if name.partition(".")[0] == "qsection" and hasattr(module, "divisor_of"):
+            monkeypatch.setattr(module, "divisor_of", divisor_of)
     monkeypatch.setattr(QDivisor, "__init__", counting(calls, "init", QDivisor.__init__))
     monkeypatch.setattr(
         WeierstrassCurve, "contains", counting(calls, "contains", WeierstrassCurve.contains)
@@ -106,3 +113,4 @@ def test_each_point_is_checked_once_where_it_enters(entry, tmp_path, monkeypatch
     assert calls["contains"] == points
     assert points == {"two_torsion_verdict": 4, "three_torsion_verdict": 3}.get(entry["name"], 0)
     assert calls["coords"] == COORDS_READS.get(entry["name"], 0)
+    assert calls["divisor_of"] == 0

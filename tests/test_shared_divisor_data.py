@@ -165,3 +165,21 @@ def test_a_refused_divisor_gets_no_record():
     with pytest.raises(ValueError, match="projective line"):
         SectionRing(QDivisor(curve, {ECAffine(F(2), F(3)): 1}))
     assert data_of.cache_info().misses == 0
+
+
+def test_a_warm_model_scans_for_no_generator_bound(monkeypatch):
+    """B* and the stable range of the Hilbert fit are pure in D, so they are
+    scanned once, when the record is made: a warm model reads both, and
+    extends to the bound the record already reached, with no
+    `_floor_degree` call."""
+    D = QDivisor(P1, {FiniteP1(0): F(1, 2), P1_INFINITY: F(1, 2), FiniteP1(1): F(-1, 2)})
+    cold = SectionRing(D).extend()
+    floor_degree = section_ring._floor_degree
+    calls = []
+    monkeypatch.setattr(
+        section_ring, "_floor_degree", lambda pairs, n: calls.append(n) or floor_degree(pairs, n)
+    )
+    warm = SectionRing(D)
+    assert (warm.generator_bound, warm._data.stable_range) == (3, (2, 6))
+    assert warm.extend().dims == cold.dims
+    assert calls == []
